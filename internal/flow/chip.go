@@ -89,8 +89,8 @@ func (f *Flow) BuildChipContext(ctx context.Context, style t2.Style) (*ChipResul
 // floorplanning, block implementation, chip-net extraction, aggregation.
 // Like implState, its stage* methods are registered into a pipeline.Plan
 // and invoked only by the executor; the chip plan itself runs uncached (its
-// own work is cheap), while the per-block plans inside stageImplement carry
-// the artifact cache.
+// own work is cheap), while the per-block fold plans inside stageFold and
+// implementation plans inside stageImplement carry the artifact cache.
 type chipState struct {
 	f     *Flow
 	style t2.Style
@@ -114,7 +114,8 @@ func (f *Flow) buildChip(ctx context.Context, style t2.Style) (*ChipResult, erro
 
 	p := pipeline.NewPlan("chip:" + style.String())
 	// Chip stages run uncached, so no Key material is declared: the block
-	// plans inside stageImplement fingerprint everything that matters.
+	// plans inside stageFold and stageImplement fingerprint everything that
+	// matters.
 	p.MustAdd(pipeline.Stage{Name: "fold", Run: st.stageFold})
 	p.MustAdd(pipeline.Stage{Name: "floorplan", After: []string{"fold"}, Run: st.stageFloorplan})
 	p.MustAdd(pipeline.Stage{Name: "implement", After: []string{"floorplan"}, Run: st.stageImplement})
@@ -129,23 +130,40 @@ func (f *Flow) buildChip(ctx context.Context, style t2.Style) (*ChipResult, erro
 }
 
 // stageFold folds the folded blocks first (partitioning needs no geometry),
-// then derives every block's shape from its actual content so the fixed
-// floorplan shapes and the block implementations agree by construction.
+// so the floorplan can derive every block's shape from its actual content
+// and the fixed shapes and the block implementations agree by construction.
+// The folds fan out across Cfg.Workers: blocks are disjoint netlists and
+// each fold is seeded by its own options, so the result is the same for
+// every worker count. Each fold goes through the artifact cache (see
+// foldBlock).
 func (st *chipState) stageFold(ctx context.Context) error {
-	f, d, style := st.f, st.f.D, st.style
-	for i, name := range st.names {
-		if err := pool.Canceled(ctx); err != nil {
-			return err
-		}
-		b := d.Blocks[name]
+	f, d, style, names := st.f, st.f.D, st.style, st.names
+	var done completions
+	return pool.Run(ctx, f.Cfg.Workers, len(names), func(ctx context.Context, i int) error {
+		name := names[i]
 		if t2.FoldedInStyle(style, name) {
-			if _, err := core.Fold(b, f.foldOptionsFor(name)); err != nil {
-				return fmt.Errorf("flow: folding %s: %w", name, err)
+			if _, err := f.foldBlock(ctx, d.Blocks[name], f.foldOptionsFor(name)); err != nil {
+				return err
 			}
 		}
-		f.progress(StageFold, name, i+1, len(st.names))
-	}
-	return nil
+		f.progress(StageFold, name, done.next(), len(names))
+		return nil
+	})
+}
+
+// completions counts the finished tasks of a pool fan-out, so progress
+// events report Done in completion order.
+type completions struct {
+	mu sync.Mutex
+	n  int
+}
+
+// next records one completion and returns the running count.
+func (c *completions) next() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n++
+	return c.n
 }
 
 // stageFloorplan runs the user-defined row plan (the paper's Figure 8
@@ -234,8 +252,7 @@ func (st *chipState) stageImplement(ctx context.Context) error {
 	f, d := st.f, st.f.D
 	names := st.names
 	results := make([]*BlockResult, len(names))
-	var doneMu sync.Mutex
-	done := 0
+	var done completions
 	err := pool.Run(ctx, f.Cfg.Workers, len(names), func(ctx context.Context, i int) error {
 		name := names[i]
 		br, err := f.ImplementBlockContext(ctx, d.Blocks[name], d.Specs[name].Aspect)
@@ -243,11 +260,7 @@ func (st *chipState) stageImplement(ctx context.Context) error {
 			return fmt.Errorf("flow: implementing %s: %w", name, err)
 		}
 		results[i] = br
-		doneMu.Lock()
-		done++
-		n := done
-		doneMu.Unlock()
-		f.progress(StageImplement, name, n, len(names))
+		f.progress(StageImplement, name, done.next(), len(names))
 		return nil
 	})
 	if err != nil {

@@ -112,12 +112,13 @@ type Config struct {
 	// serialized under the flow's mutex, so any io.Writer works.
 	Trace io.Writer
 	// Cache, when non-nil, is the content-addressed artifact cache consulted
-	// per block implementation: a block whose complete input state (netlist,
-	// outline, ports and budgets, seed, configuration) fingerprints equal to
-	// a previous build restores that build's result instead of recomputing —
-	// byte-identically, so results never depend on cache temperature. Share
-	// one cache across flows (it is safe for concurrent use) to reuse work
-	// across styles and experiments; see pipeline.NewCache.
+	// per block fold and per block implementation: a block whose complete
+	// input state (netlist, outline, ports and budgets, seed, configuration)
+	// fingerprints equal to a previous build restores that build's result
+	// instead of recomputing — byte-identically, so results never depend on
+	// cache temperature. Share one cache across flows (it is safe for
+	// concurrent use) to reuse work across styles and experiments; see
+	// pipeline.NewCache.
 	Cache *pipeline.Cache
 }
 

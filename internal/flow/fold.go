@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"fmt"
 
 	"fold3d/internal/core"
 	"fold3d/internal/extract"
@@ -17,11 +16,13 @@ func (f *Flow) FoldAndImplement(b *netlist.Block, fo core.FoldOptions, aspect fl
 	return f.FoldAndImplementContext(context.Background(), b, fo, aspect)
 }
 
-// FoldAndImplementContext is FoldAndImplement honoring ctx.
+// FoldAndImplementContext is FoldAndImplement honoring ctx. With Cfg.Cache
+// set, both the fold and the implementation restore from the cache when
+// their inputs match an earlier run.
 func (f *Flow) FoldAndImplementContext(ctx context.Context, b *netlist.Block, fo core.FoldOptions, aspect float64) (*BlockResult, *core.FoldResult, error) {
-	fr, err := core.Fold(b, fo)
+	fr, err := f.foldBlock(ctx, b, fo)
 	if err != nil {
-		return nil, nil, fmt.Errorf("flow: folding %s: %w", b.Name, err)
+		return nil, nil, err
 	}
 	br, err := f.ImplementBlockContext(ctx, b, aspect)
 	if err != nil {

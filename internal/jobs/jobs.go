@@ -354,25 +354,28 @@ func (j *Job) EventsSince(from int) (events []Event, more <-chan struct{}, termi
 // follower. Callers must not hold j.mu.
 func (j *Job) append(ev Event) {
 	j.mu.Lock()
-	ev.Seq = len(j.events)
-	j.events = append(j.events, ev)
-	close(j.notify)
-	j.notify = make(chan struct{})
+	ev = j.appendLocked(ev)
 	j.mu.Unlock()
 	if j.onEvent != nil {
 		j.onEvent(j, ev)
 	}
 }
 
-// setState transitions the lifecycle state and records the matching event;
-// terminal transitions attach the error/fingerprint and close Done.
-func (j *Job) setState(s State, err error, result *Result) {
-	j.mu.Lock()
-	j.state = s
-	j.err = err
-	j.result = result
-	j.mu.Unlock()
+// appendLocked is append's recording half: it assigns Seq, stores the event
+// and wakes followers, returning the stored event. Callers hold j.mu.
+func (j *Job) appendLocked(ev Event) Event {
+	ev.Seq = len(j.events)
+	j.events = append(j.events, ev)
+	close(j.notify)
+	j.notify = make(chan struct{})
+	return ev
+}
 
+// setState transitions the lifecycle state and records the matching event;
+// terminal transitions attach the error/fingerprint and close Done. The
+// state and its event change in one critical section, so EventsSince never
+// reports a terminal state without the terminal event in the log.
+func (j *Job) setState(s State, err error, result *Result) {
 	ev := Event{Kind: "state", State: s}
 	if err != nil {
 		ev.Error = err.Error()
@@ -380,7 +383,15 @@ func (j *Job) setState(s State, err error, result *Result) {
 	if result != nil {
 		ev.Fingerprint = result.Fingerprint
 	}
-	j.append(ev)
+	j.mu.Lock()
+	j.state = s
+	j.err = err
+	j.result = result
+	ev = j.appendLocked(ev)
+	j.mu.Unlock()
+	if j.onEvent != nil {
+		j.onEvent(j, ev)
+	}
 	if s.Terminal() {
 		close(j.done)
 	}

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -156,6 +157,35 @@ func TestEventStreamOrdering(t *testing.T) {
 	tail, _, _ := j.EventsSince(len(events) - 2)
 	if len(tail) != 2 || tail[0].Seq != len(events)-2 {
 		t.Errorf("EventsSince suffix = %+v", tail)
+	}
+}
+
+// TestStreamEndsWithTerminalEvent follows job streams the way the event
+// endpoint does — read EventsSince until it reports terminal — while the
+// job finishes. A stream that sees the terminal state must also see the
+// terminal state event: the follower polls without pausing so it keeps
+// landing inside the state transition.
+func TestStreamEndsWithTerminalEvent(t *testing.T) {
+	m := NewManager(Options{})
+	defer closeNow(t, m)
+	for i := 0; i < 50; i++ {
+		j := mustSubmit(t, m, Request{Experiments: []string{"table1"}, Scale: 5000})
+		var got []Event
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			evs, _, terminal := j.EventsSince(len(got))
+			got = append(got, evs...)
+			if terminal {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d: job %s never terminated", i, j.ID())
+			}
+			runtime.Gosched()
+		}
+		if last := got[len(got)-1]; last.Kind != "state" || !last.State.Terminal() {
+			t.Fatalf("run %d: stream reported terminal but ended with %+v", i, last)
+		}
 	}
 }
 

@@ -207,17 +207,37 @@ func (t *DiskTier) Fetch(key string) ([]byte, error) {
 	return os.ReadFile(t.entryPath(key))
 }
 
-// Store writes the entry file for key atomically (temp file + rename).
+// Store writes the entry file for key atomically: the bytes go to a temp
+// file of its own in the shard directory, which is then renamed over the
+// entry. Concurrent writers of one key (goroutines or processes sharing the
+// directory) never share a temp file, so a reader sees either a whole old
+// entry or a whole new one. A failed write removes its temp file.
 func (t *DiskTier) Store(key string, entry []byte) error {
 	path := t.entryPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, entry, 0o644); err != nil {
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(entry)
+	if err == nil {
+		// CreateTemp makes the file 0600; other processes sharing the
+		// directory must be able to read the entry.
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // best effort: the write already failed
+	}
+	return err
 }
 
 func (t *DiskTier) entryPath(key string) string {

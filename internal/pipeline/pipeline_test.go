@@ -273,6 +273,57 @@ func TestCacheDiskSpillRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskTierConcurrentStoreOneKey races writers of one key against
+// readers of it: every fetch that finds the entry must decode whole, and
+// no temp file may outlive its write.
+func TestDiskTierConcurrentStoreOneKey(t *testing.T) {
+	dir := t.TempDir()
+	tier := NewDiskTier(dir)
+	codec := testCodec()
+	const key = "c0ffee"
+	entries := make([][]byte, 4)
+	for i := range entries {
+		vals := make([]int, 20000) // a multi-block file widens any torn-write window
+		for j := range vals {
+			vals[j] = i
+		}
+		e, err := EncodeEntry(&testArtifact{Vals: vals}, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries[i] = e
+	}
+	const writers, readers, rounds = 4, 4, 25
+	err := pool.Run(context.Background(), writers+readers, writers+readers, func(_ context.Context, w int) error {
+		for r := 0; r < rounds; r++ {
+			if w < writers {
+				if err := tier.Store(key, entries[w]); err != nil {
+					return err
+				}
+				continue
+			}
+			data, err := tier.Fetch(key)
+			if err != nil {
+				continue // not written yet
+			}
+			if _, err := DecodeEntry(data, codec); err != nil {
+				return fmt.Errorf("reader %d round %d: %w", w, r, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*", "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("temp files left behind: %v", left)
+	}
+}
+
 func TestCacheCorruptEntryFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	codec := testCodec()

@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,6 +39,13 @@ type fleetNode struct {
 // node would only interleave).
 func newFleet(tb testing.TB, n, depth int) []*fleetNode {
 	tb.Helper()
+	return newFleetTiers(tb, n, depth, nil)
+}
+
+// newFleetTiers is newFleet with wrap, when non-nil, applied to node i's
+// peer tier before its cache is built.
+func newFleetTiers(tb testing.TB, n, depth int, wrap func(i int, tier pipeline.CacheTier) pipeline.CacheTier) []*fleetNode {
+	tb.Helper()
 	lns := make([]net.Listener, n)
 	nodes := make([]cluster.Node, n)
 	for i := range lns {
@@ -54,8 +63,12 @@ func newFleet(tb testing.TB, n, depth int) []*fleetNode {
 			tb.Fatal(err)
 		}
 		router := cluster.NewRouter(ring, fleetToken)
+		var peer pipeline.CacheTier = router.Tier()
+		if wrap != nil {
+			peer = wrap(i, peer)
+		}
 		cache := pipeline.NewCache(pipeline.CacheOptions{
-			Tiers:    []pipeline.CacheTier{router.Tier()},
+			Tiers:    []pipeline.CacheTier{peer},
 			KeepWire: true,
 		})
 		mgr := jobs.NewManager(jobs.Options{Workers: 1, QueueDepth: depth, Cache: cache, NodeID: nodes[i].ID})
@@ -276,11 +289,20 @@ func TestFleetPeerAuth(t *testing.T) {
 
 // TestFleetBackendIsolation pins the peer tier against cross-backend
 // leakage: a node whose peer has run the same work under the other
-// placement backend must fill nothing over the network — the placer is in
-// every stage key, so the peer's entries are simply foreign. It also pins
-// that the two backends' jobs report different result fingerprints.
+// placement backend must fetch no block implementation over the network —
+// the placer is in every block stage key, so the peer's block entries are
+// simply foreign. Fold entries may cross: a fold reads no placer, so its
+// artifact is honestly shared. It also pins that the two backends' jobs
+// report different result fingerprints.
 func TestFleetBackendIsolation(t *testing.T) {
-	fleet := newFleet(t, 2, 64)
+	fetched := &kindTier{kinds: map[string]int{}}
+	fleet := newFleetTiers(t, 2, 64, func(i int, tier pipeline.CacheTier) pipeline.CacheTier {
+		if i != 0 {
+			return tier
+		}
+		fetched.CacheTier = tier
+		return fetched
+	})
 	force := jobs.Request{Experiments: []string{"table4"}}
 	analytical := jobs.Request{Experiments: []string{"table4"}, Placer: "analytical"}
 
@@ -300,8 +322,8 @@ func TestFleetBackendIsolation(t *testing.T) {
 	}
 
 	// Node 0 runs the analytical job locally. Its cache is cold, so every
-	// stage consults the peer tier — which holds only force entries and
-	// must contribute nothing.
+	// plan consults the peer tier — which holds only force block entries
+	// and must contribute none of them.
 	ja, err := fleet[0].mgr.Submit(analytical)
 	if err != nil {
 		t.Fatal(err)
@@ -311,8 +333,12 @@ func TestFleetBackendIsolation(t *testing.T) {
 	case <-time.After(120 * time.Second):
 		t.Fatal("analytical job never finished")
 	}
-	if hits := fleet[0].cache.Stats().PeerHits; hits != 0 {
-		t.Errorf("analytical job took %d peer hits from a force-warmed peer", hits)
+	kinds := fetched.snapshot()
+	t.Logf("peer fetches by kind: %v", kinds)
+	for kind, n := range kinds {
+		if kind != "fold" {
+			t.Errorf("analytical job fetched %d %q entries from a force-warmed peer", n, kind)
+		}
 	}
 
 	fi, ai := jf.Info(), ja.Info()
@@ -322,4 +348,43 @@ func TestFleetBackendIsolation(t *testing.T) {
 	if fi.Result.Fingerprint == ai.Result.Fingerprint {
 		t.Error("force and analytical jobs produced the same result fingerprint")
 	}
+}
+
+// kindTier wraps a peer tier and counts the codec kind of every entry it
+// fetches, so a test can tell which artifact kinds crossed nodes.
+type kindTier struct {
+	pipeline.CacheTier
+	mu    sync.Mutex
+	kinds map[string]int
+}
+
+// Fetch forwards to the wrapped tier and records the fetched entry's kind,
+// read from the wire header (see pipeline.EncodeEntry: magic, schema and
+// codec version, then a u16 kind length and the kind).
+func (k *kindTier) Fetch(key string) ([]byte, error) {
+	data, err := k.CacheTier.Fetch(key)
+	if err != nil {
+		return data, err
+	}
+	kind := "malformed"
+	if len(data) >= 14 {
+		if n := int(binary.LittleEndian.Uint16(data[12:14])); len(data) >= 14+n {
+			kind = string(data[14 : 14+n])
+		}
+	}
+	k.mu.Lock()
+	k.kinds[kind]++
+	k.mu.Unlock()
+	return data, nil
+}
+
+// snapshot copies the counts.
+func (k *kindTier) snapshot() map[string]int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	out := make(map[string]int, len(k.kinds))
+	for kind, n := range k.kinds {
+		out[kind] = n
+	}
+	return out
 }

@@ -63,10 +63,11 @@ go test -race -cpu=4 -count=2 ./internal/place/analytical/
 # Cache hits must be byte-identical to recomputation. The full style x seed
 # matrix already ran under -race above (go test -race ./...); re-run the
 # heaviest style with extra CPUs so the shared cache sees more goroutine
-# interleavings, plus the disk-spill and cross-style reuse properties.
+# interleavings, plus the disk-spill, cross-style reuse and fold-artifact
+# properties.
 echo "==> go test -race -cpu=4 (artifact-cache equivalence)"
 go test -race -cpu=4 \
-	-run 'TestCacheEquivalence/fold-F2F|TestCacheDiskEquivalence|TestCacheCrossStyleReuse' \
+	-run 'TestCacheEquivalence/fold-F2F|TestCacheDiskEquivalence|TestCacheCrossStyleReuse|TestFoldCache' \
 	./internal/flow/
 
 # The fold3dd server is the one sanctioned home of long-lived goroutines
