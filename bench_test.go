@@ -11,18 +11,9 @@ package fold3drepo
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 
 	"fold3d/internal/exp"
-	"fold3d/internal/flow"
-	"fold3d/internal/pipeline"
-	"fold3d/internal/place"
-	"fold3d/internal/t2"
-	"fold3d/internal/thermal"
 )
 
 func cfg() exp.Config { return exp.DefaultConfig() }
@@ -308,274 +299,5 @@ func BenchmarkAblationRSMT(b *testing.B) {
 		}
 		b.ReportMetric(r.WirelenPct, "rsmt_wl_%")
 		b.ReportMetric(r.PowerPct, "rsmt_power_%")
-	}
-}
-
-// buildChipScales is the scale axis of the BuildChip benchmarks: the
-// denominators fed to t2.Generate, largest (coarsest netlist) first.
-// Smaller scale = more cells; scripts/bench.sh sweeps these into the
-// BENCH_PR8.json scale curve.
-var buildChipScales = []int{1000, 300, 100}
-
-// peakRSSkB reads the process peak resident set (VmHWM) from
-// /proc/self/status. Zero on hosts without procfs (the metric is then
-// simply omitted). The high-water mark is process-wide and monotone, so
-// across sub-benchmarks it reflects the largest scale run so far — which
-// is exactly the peak the memory budget cares about.
-func peakRSSkB() float64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
-			f := strings.Fields(v)
-			if len(f) > 0 {
-				kb, _ := strconv.ParseFloat(f[0], 64)
-				return kb
-			}
-		}
-	}
-	return 0
-}
-
-// benchBuildChip builds the folded-F2B chip end to end at the given
-// worker count and t2 scale. The flow folds blocks in place, so each
-// iteration regenerates the design (like every exp generator does per
-// style). Reports the design's cell count and the process peak RSS so
-// the scale sweep pairs wall-clock with memory.
-func benchBuildChip(b *testing.B, workers, scale int) {
-	b.Helper()
-	benchBuildChipCfg(b, workers, scale, nil)
-}
-
-// benchBuildChipPlacer is benchBuildChip with an explicit placement
-// backend (empty means the default, force).
-func benchBuildChipPlacer(b *testing.B, workers, scale int, placer string) {
-	b.Helper()
-	benchBuildChipCfg(b, workers, scale, func(c *flow.Config) { c.Placer = placer })
-}
-
-// benchBuildChipCfg is the common chip-build benchmark body with a config
-// hook applied after the defaults.
-func benchBuildChipCfg(b *testing.B, workers, scale int, mut func(*flow.Config)) {
-	b.Helper()
-	fcfg := flow.DefaultConfig()
-	fcfg.Workers = workers
-	if mut != nil {
-		mut(&fcfg)
-	}
-	cells := 0
-	for i := 0; i < b.N; i++ {
-		d, err := t2.Generate(t2.Config{Scale: float64(scale), Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cells = 0
-		for _, blk := range d.Blocks {
-			cells += len(blk.Cells)
-		}
-		r, err := flow.New(d, fcfg).BuildChipContext(context.Background(), t2.StyleFoldF2B)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Power.TotalMW <= 0 {
-			b.Fatal("no power report")
-		}
-	}
-	b.ReportMetric(float64(cells), "cells")
-	if kb := peakRSSkB(); kb > 0 {
-		b.ReportMetric(kb, "peak_rss_kB")
-	}
-}
-
-// thermalSolveGrids is the grid-size axis of BenchmarkThermalSolve,
-// largest last: scripts/bench.sh gates the multigrid-vs-Gauss-Seidel
-// speedup on the largest entry.
-var thermalSolveGrids = []int{24, 48, 96, 192}
-
-// benchThermalProblem builds a deterministic two-die F2B-like synthetic
-// thermal problem: random per-tile power, a uniform adhesive-bond vertical
-// conductance, and TSV conductance spikes at pseudo-random tiles.
-func benchThermalProblem(n int) (pw [2][]float64, vertK []float64) {
-	const tileAreaM2 = 5e-8
-	state := uint64(12345)
-	next := func() float64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return float64(state>>11) / float64(1<<53)
-	}
-	tiles := n * n
-	pw[0] = make([]float64, tiles)
-	pw[1] = make([]float64, tiles)
-	for i := 0; i < tiles; i++ {
-		w := 0.012 * next()
-		pw[0][i] = w * 0.6
-		pw[1][i] = w * 0.4
-	}
-	vertK = make([]float64, tiles)
-	for i := range vertK {
-		vertK[i] = 9000 * tileAreaM2
-	}
-	for s := 0; s < n; s++ {
-		i := int(next() * float64(tiles))
-		if i >= tiles {
-			i = tiles - 1
-		}
-		vertK[i] += 2.4e-5 * 30
-	}
-	return pw, vertK
-}
-
-// BenchmarkThermalSolve compares the multigrid engine (alg=mg) against the
-// dense Gauss-Seidel reference solver (alg=gs) on the same synthetic
-// two-die problem at the same 1e-4 tolerance, one sub-benchmark per grid
-// size:
-//
-//	go test -bench 'BenchmarkThermalSolve/grid=192'
-//
-// scripts/bench.sh records both rows into BENCH_PR10.json and gates the
-// mg-vs-gs speedup (>=10x at the largest grid).
-func BenchmarkThermalSolve(b *testing.B) {
-	const tileAreaM2 = 5e-8
-	p := thermal.DefaultParams()
-	for _, n := range thermalSolveGrids {
-		n := n
-		pw, vertK := benchThermalProblem(n)
-		b.Run(fmt.Sprintf("grid=%d/alg=mg", n), func(b *testing.B) {
-			eng := thermal.NewEngine()
-			var tmax float64
-			for i := 0; i < b.N; i++ {
-				if err := eng.ReinitGrid(n, n, 2, tileAreaM2, p); err != nil {
-					b.Fatal(err)
-				}
-				for iy := 0; iy < n; iy++ {
-					for ix := 0; ix < n; ix++ {
-						t := iy*n + ix
-						eng.AddPower(0, ix, iy, pw[0][t])
-						eng.AddPower(1, ix, iy, pw[1][t])
-					}
-				}
-				eng.SetUniformVertK(vertK[0])
-				for iy := 0; iy < n; iy++ {
-					for ix := 0; ix < n; ix++ {
-						if dk := vertK[iy*n+ix] - vertK[0]; dk != 0 {
-							eng.AddVertKAt(ix, iy, dk)
-						}
-					}
-				}
-				r, err := eng.Solve()
-				if err != nil {
-					b.Fatal(err)
-				}
-				tmax = r.TMaxC
-			}
-			b.ReportMetric(tmax, "tmax_C")
-		})
-		b.Run(fmt.Sprintf("grid=%d/alg=gs", n), func(b *testing.B) {
-			var tmax float64
-			for i := 0; i < b.N; i++ {
-				// The reference oracle at the engine's tolerance; the root
-				// package is deliberately off lint's ThermalEngineOnly list
-				// so this baseline stays benchmarkable.
-				r := thermal.SolveReferenceTol(pw, n, n, 2, tileAreaM2, vertK, p, 1e-4, 4_000_000)
-				tmax = r.TMaxC
-			}
-			b.ReportMetric(tmax, "tmax_C")
-		})
-	}
-}
-
-// runAllNames is the BenchmarkRunAll experiment subset: together these
-// three generators implement chips in all five design styles (table2: 2D,
-// core/cache, core/core; table5: 2D, core/core, fold-F2F; fig8: all five),
-// with heavy overlap — exactly the workload the shared artifact cache is
-// built for.
-var runAllNames = []string{"table2", "table5", "fig8"}
-
-// benchRunAllOnce runs the RunAll subset against the given cache.
-func benchRunAllOnce(b *testing.B, cache *pipeline.Cache) {
-	b.Helper()
-	c := exp.DefaultConfig()
-	c.Cache = cache
-	results, err := exp.RunAll(context.Background(), c, runAllNames, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(results) != len(runAllNames) {
-		b.Fatalf("got %d results, want %d", len(results), len(runAllNames))
-	}
-}
-
-// BenchmarkRunAllCold is the no-reuse baseline: every iteration gets a
-// fresh cache, so each RunAll only benefits from the sharing inside its own
-// run (as a first-ever invocation would).
-func BenchmarkRunAllCold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchRunAllOnce(b, pipeline.NewCache(pipeline.CacheOptions{}))
-	}
-}
-
-// BenchmarkRunAllShared measures the steady state of a shared artifact
-// cache: the cache is warmed once outside the timer, then every timed
-// iteration restores each block instead of re-implementing it. Compare
-// against BenchmarkRunAllCold for the reuse win (acceptance floor: 1.3x);
-// results are byte-identical either way (TestCacheEquivalence).
-func BenchmarkRunAllShared(b *testing.B) {
-	cache := pipeline.NewCache(pipeline.CacheOptions{})
-	benchRunAllOnce(b, cache)
-	stores := cache.Stats().Stores
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchRunAllOnce(b, cache)
-	}
-	b.StopTimer()
-	st := cache.Stats()
-	if st.Stores != stores {
-		b.Fatalf("warm iterations recomputed %d blocks", st.Stores-stores)
-	}
-	b.ReportMetric(float64(st.Hits)/float64(b.N), "restores/op")
-}
-
-// BenchmarkBuildChip compares the registered placement backends head to
-// head on the tier-1 chip build (Workers=1, scale 1000): one sub-benchmark
-// per backend, so
-//
-//	go test -bench 'BenchmarkBuildChip/placer'
-//
-// reports the force-vs-analytical cost side by side (scripts/bench.sh
-// records these rows into BENCH_PR9.json).
-func BenchmarkBuildChip(b *testing.B) {
-	for _, name := range place.BackendNames() {
-		name := name
-		b.Run("placer="+name, func(b *testing.B) { benchBuildChipPlacer(b, 1, 1000, name) })
-	}
-	// The thermal-planning overhead: the same tier-1 build with the
-	// multigrid solver and thermal-via insertion in the loop. Compare
-	// against placer=force (the thermal-off baseline) for the added cost
-	// (scripts/bench.sh gates the ratio into BENCH_PR10.json).
-	b.Run("thermal=on", func(b *testing.B) {
-		benchBuildChipCfg(b, 1, 1000, func(c *flow.Config) {
-			c.Thermal = flow.ThermalConfig{Enable: true}
-		})
-	})
-}
-
-// BenchmarkBuildChipSequential is the Workers=1 baseline of the chip
-// build, one sub-benchmark per t2 scale (scale 1000 is the tier-1 size;
-// smaller scales grow the netlist toward the scaling-pass regime).
-func BenchmarkBuildChipSequential(b *testing.B) {
-	for _, s := range buildChipScales {
-		s := s
-		b.Run(fmt.Sprintf("scale=%d", s), func(b *testing.B) { benchBuildChip(b, 1, s) })
-	}
-}
-
-// BenchmarkBuildChipParallel fans the per-block implementation out across
-// one worker per CPU; compare against BenchmarkBuildChipSequential at the
-// same scale for the speedup (results are byte-identical either way).
-func BenchmarkBuildChipParallel(b *testing.B) {
-	for _, s := range buildChipScales {
-		s := s
-		b.Run(fmt.Sprintf("scale=%d", s), func(b *testing.B) { benchBuildChip(b, 0, s) })
 	}
 }

@@ -9,8 +9,6 @@ package flow
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"sync"
 
 	"fold3d/internal/cts"
@@ -107,10 +105,6 @@ type Config struct {
 	// concurrently — but under a parallel build their order across blocks
 	// is scheduler-dependent.
 	Progress func(Progress)
-	// Trace, when non-nil, receives per-stage progress lines (stage name,
-	// block, WNS) — the flow's equivalent of a tool log. Writes are
-	// serialized under the flow's mutex, so any io.Writer works.
-	Trace io.Writer
 	// Cache, when non-nil, is the content-addressed artifact cache consulted
 	// per block fold and per block implementation: a block whose complete
 	// input state (netlist, outline, ports and budgets, seed, configuration)
@@ -183,8 +177,8 @@ type Flow struct {
 	D   *t2.Design
 	Cfg Config
 	Ex  *extract.Extractor
-	// mu serializes Trace writes and Progress callbacks across the chip
-	// build's worker pool.
+	// mu serializes Progress callbacks across the chip build's worker
+	// pool.
 	mu *sync.Mutex
 	// placers and opts recycle per-block engine state across the chip
 	// build: a finished block's placer and optimizer (with its timing
@@ -318,24 +312,6 @@ func (f *Flow) placeOptions() place.Options {
 	}
 	po.Seed = f.Cfg.Seed
 	return po
-}
-
-// trace logs one flow stage when tracing is enabled. The write is
-// serialized under the flow mutex so parallel block builds interleave
-// whole lines, never bytes.
-func (f *Flow) trace(b *netlist.Block, stage string) {
-	if f.Cfg.Trace == nil {
-		return
-	}
-	rep, err := sta.Analyze(b, 0)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err != nil {
-		fmt.Fprintf(f.Cfg.Trace, "%-8s %-14s STA error: %v\n", b.Name, stage, err)
-		return
-	}
-	fmt.Fprintf(f.Cfg.Trace, "%-8s %-14s WNS %8.1f TNS %10.0f fail %d/%d cells %d\n",
-		b.Name, stage, rep.WNS, rep.TNS, rep.Failing, rep.Endpoints, len(b.Cells))
 }
 
 // normalizePorts rescales port locations proportionally into the block

@@ -170,21 +170,3 @@ func TestDualVthFlowSwaps(t *testing.T) {
 		t.Error("VthOf wrong")
 	}
 }
-
-func TestTraceOutput(t *testing.T) {
-	d, _ := genBlocks(t, "L2B0")
-	var buf traceBuf
-	cfg := DefaultConfig()
-	cfg.Trace = &buf
-	fl := New(d, cfg)
-	if _, err := fl.ImplementBlock(d.Blocks["L2B0"], 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if buf.n == 0 {
-		t.Error("trace produced no output")
-	}
-}
-
-type traceBuf struct{ n int }
-
-func (b *traceBuf) Write(p []byte) (int, error) { b.n += len(p); return len(p), nil }

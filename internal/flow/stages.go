@@ -18,7 +18,7 @@ import (
 // implState carries one block implementation through its stage plan. Every
 // phase of the old monolithic ImplementBlock/finishBlock is a stage* method
 // here; the methods are registered into a pipeline.Plan and invoked only by
-// the pipeline executor (the fold3dlint PipelineOnly rule rejects direct
+// the pipeline executor (a fold3dlint call ban rejects direct
 // stage-to-stage calls), so the dependency structure of the flow is explicit
 // and the artifact cache can fingerprint exactly what each stage reads.
 type implState struct {
@@ -254,13 +254,11 @@ func (st *implState) stageBuffer(ctx context.Context) error {
 	}
 	st.o = f.getOptimizer(optCfg)
 
-	f.trace(b, "placed")
 	reps, err := st.o.BufferLongNets(b)
 	if err != nil {
 		return fmt.Errorf("flow: buffering %s: %v", b.Name, err)
 	}
 	st.reps = reps
-	f.trace(b, "buffered")
 	return nil
 }
 
@@ -289,17 +287,15 @@ func (st *implState) stageLegalize(ctx context.Context) error {
 		return err
 	}
 	st.o.InvalidateTiming()
-	f.trace(b, "cts+legal")
 	return nil
 }
 
 // stageTimingOpt closes setup timing by upsizing and splitting.
 func (st *implState) stageTimingOpt(ctx context.Context) error {
-	f, b := st.f, st.b
+	b := st.b
 	if _, err := st.o.FixTiming(b); err != nil {
 		return fmt.Errorf("flow: timing opt on %s: %v", b.Name, err)
 	}
-	f.trace(b, "timing-opt")
 	return nil
 }
 
@@ -309,11 +305,10 @@ func (st *implState) stageTimingOpt(ctx context.Context) error {
 // to leakage savings down to the tighter SlackMargin — mirroring how
 // sign-off flows stage sizing and multi-Vth optimization.
 func (st *implState) stagePowerOpt(ctx context.Context) error {
-	f, b := st.f, st.b
+	b := st.b
 	if _, err := st.o.RecoverPower(b); err != nil {
 		return fmt.Errorf("flow: power opt on %s: %v", b.Name, err)
 	}
-	f.trace(b, "power-opt")
 	return nil
 }
 
@@ -328,7 +323,6 @@ func (st *implState) stageVth(ctx context.Context) error {
 		return fmt.Errorf("flow: Vth opt on %s: %v", b.Name, err)
 	}
 	st.swapped = swapped
-	f.trace(b, "vth-opt")
 	return nil
 }
 

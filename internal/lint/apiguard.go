@@ -13,7 +13,8 @@ import (
 // navigated), and panic is reserved for functions on the allowlist —
 // Must-prefixed helpers and entries in Config.PanicAllow. Algorithm code
 // returns errors; a panic in the middle of a multi-hour sweep discards
-// every completed trial.
+// every completed trial. In their scoped packages it also applies
+// Config.CallBans and the IndexedScanOnly loop rule.
 func APIGuardCheck() *Check {
 	return &Check{
 		Name: "apiguard",
@@ -24,31 +25,18 @@ func APIGuardCheck() *Check {
 
 func runAPIGuard(cfg *Config, p *Package) []Finding {
 	var out []Finding
-	// The sta.Engine rule is scoped by Config.STAEngineOnly, not by the
-	// internal/pkg path gate below, so fixtures and future layouts work.
-	if matchesSuffix(p.Path, cfg.STAEngineOnly) {
-		for _, file := range p.Files {
-			out = append(out, checkSTAEngine(p, file)...)
-		}
-	}
-	if matchesSuffix(p.Path, cfg.ThermalEngineOnly) {
-		for _, file := range p.Files {
-			out = append(out, checkThermalEngine(p, file)...)
-		}
-	}
-	if matchesSuffix(p.Path, cfg.PipelineOnly) {
-		for _, file := range p.Files {
-			out = append(out, checkPipelineOnly(p, file)...)
+	// The call bans and the indexed-scan rule are scoped by Config, not by
+	// the internal/pkg path gate below, so fixtures and future layouts work.
+	for _, ban := range cfg.CallBans {
+		if matchesSuffix(p.Path, ban.Scope) {
+			for _, file := range p.Files {
+				out = append(out, checkCallBan(p, file, ban)...)
+			}
 		}
 	}
 	if matchesSuffix(p.Path, cfg.IndexedScanOnly) {
 		for _, file := range p.Files {
 			out = append(out, checkIndexedScan(p, file)...)
-		}
-	}
-	if matchesSuffix(p.Path, cfg.BackendRegistryOnly) {
-		for _, file := range p.Files {
-			out = append(out, checkBackendRegistry(p, file)...)
 		}
 	}
 	if !strings.Contains(p.Path, "internal/") && !strings.Contains(p.Path, "pkg/") {
@@ -61,164 +49,24 @@ func runAPIGuard(cfg *Config, p *Package) []Finding {
 	return out
 }
 
-// checkSTAEngine flags calls to the package-level sta.Analyze inside
-// packages restricted to the persistent engine. Engine methods (including
-// Engine.Analyze) are fine — the rule targets the one-shot wrapper, which
-// rebuilds the full timing graph on every call.
-func checkSTAEngine(p *Package, file *ast.File) []Finding {
+// checkCallBan flags every call in file whose static callee's full name
+// matches ban.Callee. Referencing a function without calling it — a stage
+// method value registered into a pipeline.Plan, say — is not a call and
+// stays legal.
+func checkCallBan(p *Package, file *ast.File, ban CallBan) []Finding {
 	var out []Finding
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		var id *ast.Ident
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		case *ast.Ident:
-			id = fun
-		default:
-			return true
+		if fn := calleeFunc(p, call); fn != nil && ban.Callee.MatchString(fn.FullName()) {
+			out = append(out, Finding{
+				Check:   "apiguard",
+				Pos:     p.Fset.Position(call.Pos()),
+				Message: fmt.Sprintf("call to %s: %s", fn.FullName(), ban.Reason),
+			})
 		}
-		fn, ok := p.Info.Uses[id].(*types.Func)
-		if !ok || fn.Name() != "Analyze" || fn.Pkg() == nil {
-			return true
-		}
-		if !strings.HasSuffix(fn.Pkg().Path(), "internal/sta") {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-			return true // a method, e.g. (*Engine).Analyze — allowed
-		}
-		out = append(out, Finding{
-			Check:   "apiguard",
-			Pos:     p.Fset.Position(call.Pos()),
-			Message: "one-shot sta.Analyze here rebuilds the timing graph from scratch; this package must reuse its persistent sta.Engine (MarkCellDirty/MarkNetDirty + Engine.Analyze)",
-		})
-		return true
-	})
-	return out
-}
-
-// checkThermalEngine flags calls to the package-level reference solvers
-// (thermal.SolveReference, thermal.SolveReferenceTol) inside packages
-// restricted to the persistent multigrid engine. Engine methods and
-// same-name local functions are fine — the rule targets the dense
-// Gauss-Seidel oracle, which exists to validate the engine in tests.
-func checkThermalEngine(p *Package, file *ast.File) []Finding {
-	var out []Finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		case *ast.Ident:
-			id = fun
-		default:
-			return true
-		}
-		fn, ok := p.Info.Uses[id].(*types.Func)
-		if !ok || !strings.HasPrefix(fn.Name(), "SolveReference") || fn.Pkg() == nil {
-			return true
-		}
-		if !strings.HasSuffix(fn.Pkg().Path(), "internal/thermal") {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-			return true // a method — allowed
-		}
-		out = append(out, Finding{
-			Check:   "apiguard",
-			Pos:     p.Fset.Position(call.Pos()),
-			Message: fmt.Sprintf("reference solver thermal.%s here runs the dense Gauss-Seidel oracle; this package must solve through the persistent multigrid thermal.Engine (LoadBlock/LoadChip + Solve/Resolve)", fn.Name()),
-		})
-		return true
-	})
-	return out
-}
-
-// checkBackendRegistry flags direct placement-backend construction — a call
-// to New in internal/place or any package under internal/place/ — inside
-// packages restricted to the registry (Config.BackendRegistryOnly). The one
-// sanctioned door is place.NewBackend, which validates the name and keeps
-// the placer-aware cache keys honest; a hard-wired constructor silently
-// pins one backend and escapes both.
-func checkBackendRegistry(p *Package, file *ast.File) []Finding {
-	var out []Finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		case *ast.Ident:
-			id = fun
-		default:
-			return true
-		}
-		fn, ok := p.Info.Uses[id].(*types.Func)
-		if !ok || fn.Name() != "New" || fn.Pkg() == nil {
-			return true
-		}
-		path := fn.Pkg().Path()
-		if !strings.HasSuffix(path, "internal/place") && !strings.Contains(path, "internal/place/") {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-			return true // a method named New on some type — not a constructor
-		}
-		out = append(out, Finding{
-			Check:   "apiguard",
-			Pos:     p.Fset.Position(call.Pos()),
-			Message: fmt.Sprintf("direct placement-backend construction %s.New: this package selects backends through the registry (place.NewBackend), which validates the name and keys the cache per backend", path),
-		})
-		return true
-	})
-	return out
-}
-
-// checkPipelineOnly flags direct calls to same-package stage entry points
-// (functions and methods named stage*) in packages restricted to the
-// pipeline executor. Referencing a stage as a method value — how stages are
-// registered into a pipeline.Plan — is fine; invoking one directly bypasses
-// the stage DAG, its cancellation checks, and the cache's fingerprinting of
-// stage inputs.
-func checkPipelineOnly(p *Package, file *ast.File) []Finding {
-	var out []Finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		case *ast.Ident:
-			id = fun
-		default:
-			return true
-		}
-		fn, ok := p.Info.Uses[id].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != p.Path {
-			return true
-		}
-		if !isStageName(fn.Name()) {
-			return true
-		}
-		out = append(out, Finding{
-			Check:   "apiguard",
-			Pos:     p.Fset.Position(call.Pos()),
-			Message: fmt.Sprintf("direct call to pipeline stage %s: stages run only through the pipeline executor (register into a pipeline.Plan)", fn.Name()),
-		})
 		return true
 	})
 	return out
@@ -324,15 +172,6 @@ func condScansCells(p *Package, cond ast.Expr) bool {
 		return true
 	})
 	return found
-}
-
-// isStageName reports whether name follows the stage entry-point naming
-// convention: "stage" followed by a capitalized phase name (stagePlace,
-// stageExtract). A bare "stage..." word like "stageless" is not a stage.
-func isStageName(name string) bool {
-	const prefix = "stage"
-	return strings.HasPrefix(name, prefix) && len(name) > len(prefix) &&
-		name[len(prefix)] >= 'A' && name[len(prefix)] <= 'Z'
 }
 
 // checkDocs flags exported top-level declarations without doc comments.

@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkLintRepo measures the full fold3dlint path over the whole
 // module: loading (parallel parse, sequential type-check) plus every check
 // of the suite running through the worker pool. This is the number the
-// pre-PR gate pays on each run; bench.sh records it in BENCH_PR6.json.
+// pre-PR gate (scripts/check.sh) pays on each run.
 func BenchmarkLintRepo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l, err := NewLoader(".")

@@ -72,33 +72,12 @@ type Config struct {
 	// determinism finding: ad-hoc concurrency bypasses the worker pool's
 	// deterministic merge and error selection.
 	GoroutineAllow []string
-	// STAEngineOnly lists import-path suffixes of packages that must run
-	// timing through a persistent sta.Engine: a bare sta.Analyze call there
-	// rebuilds the whole timing graph from scratch, silently discarding the
-	// cone-limited incremental path the optimizer loop depends on.
-	STAEngineOnly []string
 	// CtxPackages lists import-path suffixes of the service-layer packages
 	// in which the ctxflow check requires every blocking operation to be
 	// guarded by a received context.Context on all CFG paths. These are the
 	// packages sitting between a caller's cancellation and the
 	// deterministic core: a dropped ctx there turns shutdown into a hang.
 	CtxPackages []string
-	// PipelineOnly lists import-path suffixes of packages whose stage*
-	// functions are pipeline stage entry points: they may only be
-	// registered into a pipeline.Plan and invoked by the pipeline
-	// executor, never called directly by other code in the package. A
-	// direct call bypasses the stage DAG — it skips the cancellation
-	// checks, invalidates the plan's input fingerprinting, and lets stages
-	// grow hidden dependencies the artifact cache cannot see.
-	PipelineOnly []string
-	// BackendRegistryOnly lists import-path suffixes of packages that must
-	// obtain placement backends through the registry (place.NewBackend)
-	// rather than constructing one directly with place.New or a concrete
-	// backend package's New. A direct construction hard-wires one backend
-	// into the flow, bypasses the unknown-name validation, and silently
-	// escapes the cache-key discipline that keeps backends' artifacts
-	// isolated.
-	BackendRegistryOnly []string
 	// IndexedScanOnly lists import-path suffixes of packages whose
 	// legalization and blockage code must answer per-candidate queries
 	// through a spatial index. There, a linear scan over a block's Cells
@@ -109,13 +88,24 @@ type Config struct {
 	// stay allowed: only a Cells scan inside an enclosing loop is
 	// flagged.
 	IndexedScanOnly []string
-	// ThermalEngineOnly lists import-path suffixes of packages that must
-	// solve temperature through the persistent multigrid thermal.Engine: a
-	// bare thermal.SolveReference* call there runs the dense Gauss-Seidel
-	// reference solver — the tolerance oracle the engine is tested against,
-	// orders of magnitude slower at scale and blind to the incremental
-	// re-solve the thermal-via loop depends on.
-	ThermalEngineOnly []string
+	// CallBans lists the calls the apiguard check forbids, each inside its
+	// own set of packages.
+	CallBans []CallBan
+}
+
+// CallBan forbids calls to matching functions inside a set of packages.
+// Callee matches the callee's types.Func.FullName: pkgpath.Func for a
+// function, (*pkgpath.Type).Method or pkgpath.Type.Method for a method. A
+// pattern ending in `pkg\.Name$` thus bans a package-level function and
+// leaves every same-named method alone.
+type CallBan struct {
+	// Scope lists import-path suffixes of the packages the ban applies to.
+	Scope []string
+	// Callee matches the full name of each banned function.
+	Callee *regexp.Regexp
+	// Reason says why the call is banned and what to call instead; the
+	// finding prints it after the callee's full name.
+	Reason string
 }
 
 // DefaultConfig returns the scoping policy enforced on the fold3d tree.
@@ -158,40 +148,36 @@ func DefaultConfig() *Config {
 			"internal/pool",
 			"pkg/fold3d",
 		},
-		STAEngineOnly: []string{
-			// The optimizer's analyze loop is the hot consumer of timing;
-			// it owns an Engine and must mark-and-update, never full-build.
-			"internal/opt",
-		},
-		PipelineOnly: []string{
-			// The flow's phases are registered pipeline stages; only the
-			// pipeline executor may invoke them, so the stage DAG and the
-			// artifact-cache fingerprints stay honest.
-			"internal/flow",
-		},
-		BackendRegistryOnly: []string{
-			// The flow selects placement backends by Config.Placer; wiring a
-			// concrete placer here would bypass the registry's validation
-			// and the placer-aware cache keys.
-			"internal/flow",
-		},
 		IndexedScanOnly: []string{
 			// The placer's legalization, spreading and TSV planning are
 			// the scaling-pass hot paths: per-query work there must go
 			// through the spatial index, never a nested Cells scan.
 			"internal/place",
 		},
-		ThermalEngineOnly: []string{
-			// Every in-loop and serving consumer of temperature runs the
-			// multigrid engine; the Gauss-Seidel reference solver is for the
-			// thermal package's own equivalence tests only.
-			"internal/flow",
-			"internal/exp",
-			"internal/jobs",
-			"internal/server",
-			"pkg/fold3d",
-			"cmd/fold3d",
-			"cmd/fold3dd",
+		CallBans: []CallBan{
+			{
+				// The optimizer's analyze loop is the hot consumer of timing;
+				// it owns an Engine and must mark-and-update, never
+				// full-build.
+				Scope:  []string{"internal/opt"},
+				Callee: regexp.MustCompile(`internal/sta\.Analyze$`),
+				Reason: "the one-shot wrapper rebuilds the timing graph from scratch; this package must reuse its persistent sta.Engine (MarkCellDirty/MarkNetDirty + Engine.Analyze)",
+			},
+			{
+				// The flow's phases are registered pipeline stages. Stage
+				// names are unexported, so only same-package calls can match.
+				Scope:  []string{"internal/flow"},
+				Callee: regexp.MustCompile(`\.stage[A-Z]\w*$`),
+				Reason: "stages run only through the pipeline executor (register into a pipeline.Plan); a direct call skips the stage DAG, its cancellation checks and the cache's input fingerprints",
+			},
+			{
+				// The flow selects placement backends by Config.Placer: the
+				// constructor of internal/place or of any backend under it
+				// would hard-wire one backend.
+				Scope:  []string{"internal/flow"},
+				Callee: regexp.MustCompile(`internal/place(/[^.]+)?\.New$`),
+				Reason: "select placement backends through the registry (place.NewBackend), which validates the name and keys the cache per backend",
+			},
 		},
 	}
 }

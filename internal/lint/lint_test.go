@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -147,15 +148,27 @@ func TestErrDropFixture(t *testing.T) {
 	checkFixture(t, DefaultConfig(), p, []*Check{ErrDropCheck()})
 }
 
-func TestSTAEngineFixture(t *testing.T) {
-	_, p := loadFixture(t, "staengine", "fixture/staengine")
+// checkCallBanFixture runs apiguard over testdata/src/<dir> with the
+// shipped call ban whose pattern matches callee (a real function's full
+// name) widened to the fixture, so the fixture exercises that exact row.
+func checkCallBanFixture(t *testing.T, dir, callee string) {
+	t.Helper()
+	_, p := loadFixture(t, dir, "fixture/"+dir)
 	cfg := DefaultConfig()
-	cfg.STAEngineOnly = append(cfg.STAEngineOnly, "fixture/staengine")
+	i := slices.IndexFunc(cfg.CallBans, func(b CallBan) bool { return b.Callee.MatchString(callee) })
+	if i < 0 {
+		t.Fatalf("no default call ban matches %s", callee)
+	}
+	cfg.CallBans[i].Scope = append(cfg.CallBans[i].Scope, p.Path)
 	checkFixture(t, cfg, p, []*Check{APIGuardCheck()})
 }
 
+func TestSTAEngineFixture(t *testing.T) {
+	checkCallBanFixture(t, "staengine", "fold3d/internal/sta.Analyze")
+}
+
 func TestSTAEngineOffByDefaultElsewhere(t *testing.T) {
-	// Without the package on the STAEngineOnly list the same source is
+	// Without the package in the sta.Analyze ban's scope the same source is
 	// clean (the fixture path is outside internal/, so the doc/panic rules
 	// stay off too).
 	_, p := loadFixture(t, "staengine", "fixture/staengine-off")
@@ -165,35 +178,14 @@ func TestSTAEngineOffByDefaultElsewhere(t *testing.T) {
 	}
 }
 
-func TestThermalEngineFixture(t *testing.T) {
-	_, p := loadFixture(t, "thermalengine", "fixture/thermalengine")
-	cfg := DefaultConfig()
-	cfg.ThermalEngineOnly = append(cfg.ThermalEngineOnly, "fixture/thermalengine")
-	checkFixture(t, cfg, p, []*Check{APIGuardCheck()})
-}
-
-func TestThermalEngineOffByDefaultElsewhere(t *testing.T) {
-	// Without the package on the ThermalEngineOnly list the same source is
-	// clean: the reference solver stays legal for unrestricted callers
-	// (the thermal package's own equivalence tests).
-	_, p := loadFixture(t, "thermalengine", "fixture/thermalengine-off")
-	fs := Run(DefaultConfig(), []*Package{p}, []*Check{APIGuardCheck()})
-	if len(fs) != 0 {
-		t.Errorf("unrestricted package flagged: %v", fs)
-	}
-}
-
 func TestPipelineOnlyFixture(t *testing.T) {
-	_, p := loadFixture(t, "pipeline", "fixture/pipeline")
-	cfg := DefaultConfig()
-	cfg.PipelineOnly = append(cfg.PipelineOnly, "fixture/pipeline")
-	checkFixture(t, cfg, p, []*Check{APIGuardCheck()})
+	checkCallBanFixture(t, "pipeline", "(*fold3d/internal/flow.chipState).stageFold")
 }
 
 func TestPipelineOnlyOffByDefaultElsewhere(t *testing.T) {
-	// Without the package on the PipelineOnly list the same source is clean
-	// (the fixture path is outside internal/, so the doc/panic rules stay
-	// off too).
+	// Without the package in the stage-call ban's scope the same source is
+	// clean (the fixture path is outside internal/, so the doc/panic rules
+	// stay off too).
 	_, p := loadFixture(t, "pipeline", "fixture/pipeline-off")
 	fs := Run(DefaultConfig(), []*Package{p}, []*Check{APIGuardCheck()})
 	if len(fs) != 0 {
@@ -220,16 +212,13 @@ func TestIndexedScanOffByDefaultElsewhere(t *testing.T) {
 }
 
 func TestBackendRegistryFixture(t *testing.T) {
-	_, p := loadFixture(t, "backendregistry", "fixture/backendregistry")
-	cfg := DefaultConfig()
-	cfg.BackendRegistryOnly = append(cfg.BackendRegistryOnly, "fixture/backendregistry")
-	checkFixture(t, cfg, p, []*Check{APIGuardCheck()})
+	checkCallBanFixture(t, "backendregistry", "fold3d/internal/place.New")
 }
 
 func TestBackendRegistryOffByDefaultElsewhere(t *testing.T) {
-	// Without the package on the BackendRegistryOnly list the same source
-	// is clean (the fixture path is outside internal/, so the doc/panic
-	// rules stay off too).
+	// Without the package in the backend-constructor ban's scope the same
+	// source is clean (the fixture path is outside internal/, so the
+	// doc/panic rules stay off too).
 	_, p := loadFixture(t, "backendregistry", "fixture/backendregistry-off")
 	fs := Run(DefaultConfig(), []*Package{p}, []*Check{APIGuardCheck()})
 	if len(fs) != 0 {

@@ -14,13 +14,13 @@ func New() {}
 // DirectForce constructs the force backend behind the registry's back:
 // flagged.
 func DirectForce() place.Backend {
-	return place.New(place.DefaultOptions()) // want `direct placement-backend construction fold3d/internal/place.New`
+	return place.New(place.DefaultOptions()) // want `call to fold3d/internal/place\.New: .*registry`
 }
 
 // DirectAnalytical constructs the analytical backend behind the registry's
 // back: flagged.
 func DirectAnalytical() place.Backend {
-	return analytical.New(place.DefaultOptions()) // want `direct placement-backend construction fold3d/internal/place/analytical.New`
+	return analytical.New(place.DefaultOptions()) // want `call to fold3d/internal/place/analytical\.New: .*registry`
 }
 
 // ViaRegistry resolves the backend by name: place.NewBackend validates the

@@ -21,7 +21,7 @@ func (s *state) stagePrepare(ctx context.Context) error { s.n++; return nil }
 // stagePlace is a stage entry point that shortcuts into its upstream
 // neighbor instead of going through the plan: flagged.
 func (s *state) stagePlace(ctx context.Context) error {
-	return s.stagePrepare(ctx) // want `direct call to pipeline stage stagePrepare`
+	return s.stagePrepare(ctx) // want `call to \(\*fixture/pipeline\.state\)\.stagePrepare: stages run only through the pipeline executor`
 }
 
 // stageFree is a package-level stage entry point.
@@ -39,7 +39,7 @@ func register(s *state) *plan {
 
 // driver invokes a package-level stage directly: flagged.
 func driver(ctx context.Context) error {
-	return stageFree(ctx) // want `direct call to pipeline stage stageFree`
+	return stageFree(ctx) // want `call to fixture/pipeline\.stageFree: stages run only through the pipeline executor`
 }
 
 // stageless shares the prefix word but is not a stage entry point (no

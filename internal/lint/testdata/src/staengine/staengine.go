@@ -13,7 +13,7 @@ func Analyze() {}
 
 // FullEveryTime calls the one-shot wrapper: flagged.
 func FullEveryTime(b *netlist.Block) (*sta.Report, error) {
-	return sta.Analyze(b, 100) // want `one-shot sta.Analyze .* persistent sta.Engine`
+	return sta.Analyze(b, 100) // want `call to fold3d/internal/sta\.Analyze: .* persistent sta\.Engine`
 }
 
 // Incremental drives the persistent engine: Engine.Analyze is allowed.

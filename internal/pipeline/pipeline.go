@@ -12,7 +12,7 @@
 //     function and a Key function that feeds exactly the configuration the
 //     stage reads into the fingerprint. Stages never call each other; they
 //     are registered into a Plan and invoked only by the Executor (the
-//     fold3dlint PipelineOnly rule enforces this in internal/flow).
+//     fold3dlint stage-call ban enforces this in internal/flow).
 //
 //   - Plan: an ordered DAG of stages over one input artifact. Fingerprints
 //     chain: a stage's fingerprint is a content hash of (schema version,

@@ -41,9 +41,8 @@ var synthStyles = []synthCase{
 
 const synthTileAreaM2 = 5e-8
 
-// buildSynth assembles the case's power and vertical-conductance arrays and
-// loads them into a fresh view: the returned closures feed the same problem
-// to the reference solver and to an Engine.
+// buildSynth assembles the case's power and vertical-conductance arrays:
+// solveReference takes them directly, and loadSynth feeds them to an Engine.
 func buildSynth(c synthCase, seed uint64, p Params) (pw [2][]float64, vertK []float64) {
 	r := lcg(seed*2654435761 + 97)
 	n := c.nx * c.ny
@@ -79,10 +78,10 @@ func buildSynth(c synthCase, seed uint64, p Params) (pw [2][]float64, vertK []fl
 }
 
 // loadSynth initializes e with the synthetic problem.
-func loadSynth(t *testing.T, e *Engine, c synthCase, pw [2][]float64, vertK []float64, p Params) {
-	t.Helper()
+func loadSynth(tb testing.TB, e *Engine, c synthCase, pw [2][]float64, vertK []float64, p Params) {
+	tb.Helper()
 	if err := e.ReinitGrid(c.nx, c.ny, c.dies, synthTileAreaM2, p); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for iy := 0; iy < c.ny; iy++ {
 		for ix := 0; ix < c.nx; ix++ {
@@ -128,7 +127,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
 				pw, vertK := buildSynth(c, seed, p)
-				ref := SolveReferenceTol(pw, c.nx, c.ny, c.dies, synthTileAreaM2, vertK, p, 1e-8, 400000)
+				ref := solveReference(pw, c.nx, c.ny, c.dies, synthTileAreaM2, vertK, p, 1e-8, 400000)
 				e := NewEngine()
 				e.tol = 1e-8
 				loadSynth(t, e, c, pw, vertK, p)
@@ -283,7 +282,7 @@ func TestBrokenRestrictionCaught(t *testing.T) {
 	if err != nil {
 		return // the guard fired, as expected
 	}
-	ref := SolveReferenceTol(pw, c.nx, c.ny, c.dies, synthTileAreaM2, vertK, p, 1e-7, 400000)
+	ref := solveReference(pw, c.nx, c.ny, c.dies, synthTileAreaM2, vertK, p, 1e-7, 400000)
 	if d := maxTileDiff(got, ref); d > 1e-2 {
 		t.Fatalf("broken restriction returned a wrong field (max tile diff %.3g C) without an error", d)
 	}
@@ -357,7 +356,7 @@ func TestSolveReference2DMapNil(t *testing.T) {
 	c := synthStyles[0]
 	p := DefaultParams()
 	pw, vertK := buildSynth(c, 1, p)
-	ref := SolveReference(pw, c.nx, c.ny, 1, synthTileAreaM2, vertK, p)
+	ref := solveReference(pw, c.nx, c.ny, 1, synthTileAreaM2, vertK, p, 1e-4, 4000)
 	if ref.Dies != 1 {
 		t.Fatalf("Dies = %d, want 1", ref.Dies)
 	}

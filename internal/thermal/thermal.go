@@ -7,15 +7,13 @@
 // TSV population — TSVs are copper and conduct heat), and to ambient through
 // the heat-sink path attached to the top die's backside.
 //
-// Two solvers share the model. SolveReference is the original plain
-// Gauss-Seidel relaxation, kept as the slow oracle. Engine is the production
-// solver: a geometric multigrid V-cycle (red-black Gauss-Seidel smoother,
-// aggregation coarsening) over flat per-die arrays, persistent and poolable
-// like sta.Engine, with incremental re-solve after localized power or TSV
-// edits — cheap enough to sit inside the optimization loop and drive thermal
-// via insertion and folding selection (DESIGN.md §17). fold3dlint's
-// ThermalEngineOnly rule keeps the reference solver out of production
-// packages.
+// The production solver is Engine: a geometric multigrid V-cycle (red-black
+// Gauss-Seidel smoother, aggregation coarsening) over flat per-die arrays,
+// persistent and poolable like sta.Engine, with incremental re-solve after
+// localized power or TSV edits — cheap enough to sit inside the
+// optimization loop and drive thermal via insertion and folding selection
+// (DESIGN.md §17). The plain Gauss-Seidel oracle it is checked against, and
+// the benchmark that gates its speed, live in the package's test files.
 //
 // The model reproduces the first-order 3D-IC thermal story: stacking doubles
 // the power density, the die far from the heat sink runs hotter, and F2F
@@ -167,95 +165,6 @@ func summarize(t [2][]float64, nx, ny, dies int) *Result {
 	}
 	res.TAvgC = sum / float64(cnt)
 	return res
-}
-
-// gaussSeidel runs plain Gauss-Seidel on the tile network. pw[die][i] is the
-// tile power in watts (physical); tileArea is the physical tile area in m²;
-// vertK[i] is the die-to-die conductance per tile (W/K); dies is 1 or 2.
-// Iteration stops when the largest per-tile update falls below tol or after
-// maxIter sweeps, whichever comes first.
-func gaussSeidel(pw [2][]float64, nx, ny, dies int, tileAreaM2 float64, vertK []float64, p Params, tol float64, maxIter int) *Result {
-	n := nx * ny
-	var t [2][]float64
-	for d := 0; d < dies; d++ {
-		t[d] = make([]float64, n)
-		for i := range t[d] {
-			t[d][i] = p.AmbientC
-		}
-	}
-	// Conductances (W/K).
-	gSink := p.KSinkWPerM2K * tileAreaM2
-	gBoard := p.KBoardWPerM2K * tileAreaM2
-	// Lateral: k * A_cross / L = k * (edge * thickness) / edge = k * thickness.
-	gLat := p.KLateralWPerMK * (p.DieThicknessUm * 1e-6)
-
-	sinkDie := dies - 1 // the top die's backside carries the sink
-	for iter := 0; iter < maxIter; iter++ {
-		var maxDelta float64
-		for d := 0; d < dies; d++ {
-			for iy := 0; iy < ny; iy++ {
-				for ix := 0; ix < nx; ix++ {
-					i := iy*nx + ix
-					var gSum, flow float64
-					// Lateral neighbors.
-					for _, nb := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-						jx, jy := ix+nb[0], iy+nb[1]
-						if jx < 0 || jx >= nx || jy < 0 || jy >= ny {
-							continue
-						}
-						j := jy*nx + jx
-						gSum += gLat
-						flow += gLat * t[d][j]
-					}
-					// Vertical coupling to the other die.
-					if dies == 2 {
-						o := 1 - d
-						gSum += vertK[i]
-						flow += vertK[i] * t[o][i]
-					}
-					// Ambient paths.
-					if d == sinkDie {
-						gSum += gSink
-						flow += gSink * p.AmbientC
-					}
-					if d == 0 {
-						gSum += gBoard
-						flow += gBoard * p.AmbientC
-					}
-					if gSum == 0 {
-						continue
-					}
-					nt := (flow + pw[d][i]) / gSum
-					if dl := math.Abs(nt - t[d][i]); dl > maxDelta {
-						maxDelta = dl
-					}
-					t[d][i] = nt
-				}
-			}
-		}
-		if maxDelta < tol {
-			break
-		}
-	}
-	return summarize(t, nx, ny, dies)
-}
-
-// SolveReference solves the tile network with the original plain
-// Gauss-Seidel relaxation (update tolerance 1e-4 °C, 4000-sweep cap) — the
-// oracle the multigrid Engine is validated against in the solver property
-// suite and the speed baseline BENCH_PR10.json records. Production analysis
-// goes through Engine; fold3dlint's ThermalEngineOnly rule bans this
-// function outside internal/thermal and test files.
-func SolveReference(pw [2][]float64, nx, ny, dies int, tileAreaM2 float64, vertK []float64, p Params) *Result {
-	return gaussSeidel(pw, nx, ny, dies, tileAreaM2, vertK, p, 1e-4, 4000)
-}
-
-// SolveReferenceTol is SolveReference with caller-chosen stopping
-// parameters, for equal-tolerance speed comparisons (BENCH_PR10.json) and
-// tightened-oracle property tests. Subject to the same ThermalEngineOnly
-// lint rule as SolveReference.
-func SolveReferenceTol(pw [2][]float64, nx, ny, dies int, tileAreaM2 float64, vertK []float64, p Params, tol float64, maxIter int) *Result {
-	return gaussSeidel(pw, nx, ny, dies, tileAreaM2, vertK, p, tol, maxIter)
 }
 
 // AnalyzeBlock solves the temperature field of one implemented block. The
