@@ -117,10 +117,7 @@ func run(args []string, ready func(addr string)) int {
 			return 2
 		}
 		router = cluster.NewRouter(ring, *peerToken)
-		// KeepWire retains encoded entries in memory so this node can serve
-		// /v1/artifacts to peers even without a -cachedir spill.
 		cacheOpts.Tiers = []pipeline.CacheTier{router.Tier()}
-		cacheOpts.KeepWire = true
 	} else if *nodeID != "" {
 		fmt.Fprintln(os.Stderr, "fold3dd: -node-id requires -peers")
 		return 2

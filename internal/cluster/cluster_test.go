@@ -174,6 +174,8 @@ func (a *clusterArtifact) CloneArtifact() pipeline.Artifact {
 	return &clusterArtifact{Vals: append([]int(nil), a.Vals...)}
 }
 
+func (a *clusterArtifact) ApproxBytes() int64 { return int64(8 * len(a.Vals)) }
+
 func clusterCodec() *pipeline.Codec {
 	return &pipeline.Codec{
 		Kind:    "clustertest",

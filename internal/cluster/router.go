@@ -136,8 +136,9 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Tier returns the router's network cache tier: a pipeline.CacheTier that
-// fetches wire entries from peers over GET /v1/artifacts/{key}.
+// Tier returns the router's network cache tier: a read-only
+// pipeline.CacheTier that fetches wire entries from peers over
+// GET /v1/artifacts/{key}. Entries propagate by fetch, never by push.
 func (rt *Router) Tier() *PeerTier { return &PeerTier{rt: rt} }
 
 // PeerTier fetches cache entries from fleet peers. It implements
@@ -151,9 +152,6 @@ func (rt *Router) Tier() *PeerTier { return &PeerTier{rt: rt} }
 type PeerTier struct {
 	rt *Router
 }
-
-// Label attributes this tier's hits to Stats.PeerHits.
-func (t *PeerTier) Label() string { return "peer" }
 
 // Fetch retrieves the wire entry for key from the first peer that has it.
 func (t *PeerTier) Fetch(key string) ([]byte, error) {
@@ -188,7 +186,3 @@ func (t *PeerTier) fetchFrom(node Node, key string) ([]byte, error) {
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, maxArtifactBytes))
 }
-
-// Store is a no-op: a peer's artifact store is its own business — entries
-// propagate by being fetched, never pushed.
-func (t *PeerTier) Store(string, []byte) error { return nil }

@@ -54,7 +54,7 @@ func (a *blockArtifact) CloneArtifact() pipeline.Artifact {
 }
 
 // ApproxBytes reports the artifact's rough in-memory footprint for the
-// cache's MaxBytes budget (pipeline.Sizer). Dominated by the netlist; the
+// cache's MaxBytes budget (pipeline.Artifact). Dominated by the netlist; the
 // per-element constants are struct sizes rounded up to cover the slice
 // headers, sink slices and name strings hanging off each record.
 func (a *blockArtifact) ApproxBytes() int64 {

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"testing"
 
 	"fold3d/internal/pipeline"
@@ -60,29 +61,45 @@ func TestCacheEquivalence(t *testing.T) {
 // TestCacheDiskEquivalence covers the on-disk spill end to end: a cold
 // build spills to disk, a fresh in-memory cache over the same directory
 // restores from it (gob decode + master re-interning), and the result is
-// byte-identical.
+// byte-identical. The budgeted case holds memory to a MaxBytes small
+// enough to evict during the build: eviction moves where a lookup is
+// served from, never what it returns, so every case matches the unbounded
+// cold build too.
 func TestCacheDiskEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full-chip builds")
+		t.Skip("full-chip builds")
 	}
-	dir := t.TempDir()
-	cold := chipFingerprintCfg(t, t2.StyleFoldF2F, 42, 1, func(c *Config) {
-		c.Cache = pipeline.NewCache(pipeline.CacheOptions{Dir: dir})
-	})
-
-	fresh := pipeline.NewCache(pipeline.CacheOptions{Dir: dir})
-	warm := chipFingerprintCfg(t, t2.StyleFoldF2F, 42, 1, func(c *Config) {
-		c.Cache = fresh
-	})
-	if warm != cold {
-		t.Fatalf("disk-restored build diverged:\n%s", firstDiff(warm, cold))
-	}
-	st := fresh.Stats()
-	if st.DiskHits == 0 {
-		t.Fatalf("no disk hits: %+v", st)
-	}
-	if st.Corrupt != 0 {
-		t.Fatalf("corrupt entries during round trip: %+v", st)
+	var unbounded string
+	for _, budget := range []int64{0, 256 << 10} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			opts := pipeline.CacheOptions{Dir: t.TempDir(), MaxBytes: budget}
+			filled := pipeline.NewCache(opts)
+			cold := chipFingerprintCfg(t, t2.StyleFoldF2F, 42, 1, func(c *Config) {
+				c.Cache = filled
+			})
+			fresh := pipeline.NewCache(opts)
+			warm := chipFingerprintCfg(t, t2.StyleFoldF2F, 42, 1, func(c *Config) {
+				c.Cache = fresh
+			})
+			if warm != cold {
+				t.Fatalf("disk-restored build diverged:\n%s", firstDiff(warm, cold))
+			}
+			if unbounded == "" {
+				unbounded = cold
+			} else if cold != unbounded {
+				t.Fatalf("budgeted build diverged from the unbounded one:\n%s", firstDiff(cold, unbounded))
+			}
+			st := fresh.Stats()
+			if st.DiskHits == 0 {
+				t.Fatalf("no disk hits: %+v", st)
+			}
+			if st.Corrupt != 0 {
+				t.Fatalf("corrupt entries during round trip: %+v", st)
+			}
+			if budget > 0 && filled.Stats().Evicted == 0 {
+				t.Fatalf("budget %d never evicted: %+v", budget, filled.Stats())
+			}
+		})
 	}
 }
 

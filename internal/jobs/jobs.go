@@ -736,6 +736,6 @@ func (m *Manager) runJob(j *Job) {
 func (m *Manager) CacheStats() pipeline.Stats { return m.cache.Stats() }
 
 // CacheEntry returns the serialized wire entry for an artifact key from
-// the node-local cache (memory wire copy or disk spill, never peers), for
-// the /v1/artifacts peer-serving endpoint.
+// the node-local cache (a memory entry encoded on demand, or the disk
+// spill; never peers), for the /v1/artifacts peer-serving endpoint.
 func (m *Manager) CacheEntry(key string) ([]byte, bool) { return m.cache.EntryBytes(key) }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"fold3d/internal/errs"
@@ -120,9 +121,12 @@ func (h *Hasher) Sum() Fingerprint {
 
 // Artifact is a cacheable result. CloneArtifact must return a deep copy
 // sharing no mutable state with the receiver; the cache clones on both Put
-// and Get so entries can never alias live flow state.
+// and Get so entries can never alias live flow state. ApproxBytes reports
+// the artifact's rough in-memory footprint, which the MaxBytes budget
+// charges for every memory entry.
 type Artifact interface {
 	CloneArtifact() Artifact
+	ApproxBytes() int64
 }
 
 // Codec serializes artifacts for the lower cache tiers (disk spill, peer
@@ -166,27 +170,20 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits+s.DiskHits+s.PeerHits) / float64(total)
 }
 
-// CacheTier is one storage tier below the in-memory map. Tiers traffic in
-// the serialized wire entry (the versioned, checksummed layout documented
-// at EncodeEntry), never in live artifacts: the cache validates and decodes
-// centrally, so a corrupt or truncated tier entry — local disk or remote
-// peer alike — is always a miss, never an error.
+// CacheTier is one read-only storage tier below the in-memory map. Tiers
+// traffic in the serialized wire entry (the versioned, checksummed layout
+// documented at EncodeEntry), never in live artifacts: the cache validates
+// and decodes centrally, so a corrupt or truncated tier entry — local disk
+// or remote peer alike — is always a miss, never an error.
 //
 // Get consults tiers in order (disk before network); a hit is promoted to
-// memory and written back into the earlier tiers. Store is best-effort: the
-// memory entry is already in place, so a tier write failure costs only
-// future warm starts.
+// memory, and a hit below the disk spill is also written into it. The
+// cache writes only to the spill it owns: remote tiers fill by fetching.
 type CacheTier interface {
-	// Label names the tier for stats attribution and diagnostics; the
-	// label "disk" counts hits under Stats.DiskHits, every other label
-	// under Stats.PeerHits.
-	Label() string
 	// Fetch returns the raw wire entry stored under key. Any error means
 	// the tier has nothing usable (absent entries conventionally return an
 	// error wrapping os.ErrNotExist).
 	Fetch(key string) ([]byte, error)
-	// Store writes the wire entry under key, replacing any previous one.
-	Store(key string, entry []byte) error
 }
 
 // DiskTier is the on-disk spill tier: one file per entry under a shard
@@ -198,9 +195,6 @@ type DiskTier struct {
 
 // NewDiskTier returns a disk tier rooted at dir (created on first write).
 func NewDiskTier(dir string) *DiskTier { return &DiskTier{dir: dir} }
-
-// Label identifies the tier; the cache attributes its hits to DiskHits.
-func (t *DiskTier) Label() string { return "disk" }
 
 // Fetch reads the entry file for key.
 func (t *DiskTier) Fetch(key string) ([]byte, error) {
@@ -258,32 +252,21 @@ type CacheOptions struct {
 	// atomically via rename).
 	Dir string
 	// Tiers appends further (typically network) tiers consulted after
-	// memory and the Dir spill, in order. A tier hit is promoted to memory
-	// and written back into the earlier tiers. Tiers added here are never
-	// consulted by EntryBytes, so a fleet node serving its cache to peers
-	// cannot loop through its own peer tier.
+	// memory and the Dir spill, in order. A hit here is promoted to memory
+	// and written into the Dir spill. Tiers added here are never consulted
+	// by EntryBytes, so a fleet node serving its cache to peers cannot
+	// loop through its own peer tier.
 	Tiers []CacheTier
-	// KeepWire retains the serialized wire entry of every artifact stored
-	// with a codec in memory alongside the decoded artifact, so EntryBytes
-	// can serve peers without a disk spill. Costs roughly one encoded copy
-	// per entry; fold3dd enables it when running with peers.
-	KeepWire bool
-	// MaxBytes, when positive, bounds the approximate decoded-artifact
-	// bytes held in memory (the memory-budgeted execution mode). Put
-	// evicts the oldest entries until the new one fits, and an artifact
-	// larger than the whole budget is not held in memory at all — it still
-	// spills to Dir when configured, so a later Get falls through to the
-	// lower tiers. Eviction only moves where a lookup is served from (or
-	// forces a recompute); results are fingerprint-identical either way.
-	// Sizes come from ApproxBytes when the artifact implements Sizer and
-	// fall back to the encoded wire length (or a fixed guess) otherwise.
+	// MaxBytes, when positive, bounds the Artifact.ApproxBytes total held
+	// in memory (the memory-budgeted execution mode). Each memory entry is
+	// one decoded clone and nothing else, so the budget covers everything
+	// the cache holds. Put evicts the oldest entries until the new one
+	// fits, and an artifact larger than the whole budget is not held in
+	// memory at all — it still spills to Dir when configured, so a later
+	// Get falls through to the lower tiers. Eviction only moves where a
+	// lookup is served from (or forces a recompute); results are
+	// fingerprint-identical either way.
 	MaxBytes int64
-}
-
-// Sizer is optionally implemented by artifacts to report their approximate
-// in-memory footprint, used by the MaxBytes cache budget.
-type Sizer interface {
-	ApproxBytes() int64
 }
 
 // Cache is a content-addressed artifact store, safe for concurrent use.
@@ -294,27 +277,26 @@ type Sizer interface {
 type Cache struct {
 	disk     *DiskTier // nil without a spill dir
 	tiers    []CacheTier
-	keepWire bool
 	maxBytes int64 // 0 = unbounded
 
 	mu      sync.Mutex
-	entries map[string]Artifact
-	wire    map[string][]byte // serialized entries, kept when keepWire
-	sizes   map[string]int64  // approximate decoded size per memory entry
-	order   []string          // insertion order, oldest first (FIFO eviction)
-	total   int64             // sum of sizes
+	entries map[string]memEntry
+	order   []string // insertion order, oldest first (FIFO eviction)
+	total   int64    // sum of entry sizes
 	stats   Stats
+}
+
+// memEntry is one artifact held in memory: the cache's private clone, the
+// codec it was stored under (nil: EntryBytes cannot serve it) and its size.
+type memEntry struct {
+	art   Artifact
+	codec *Codec
+	size  int64
 }
 
 // NewCache returns an empty cache.
 func NewCache(opts CacheOptions) *Cache {
-	c := &Cache{
-		keepWire: opts.KeepWire,
-		maxBytes: opts.MaxBytes,
-		entries:  map[string]Artifact{},
-		wire:     map[string][]byte{},
-		sizes:    map[string]int64{},
-	}
+	c := &Cache{maxBytes: opts.MaxBytes, entries: map[string]memEntry{}}
 	if opts.Dir != "" {
 		c.disk = NewDiskTier(opts.Dir)
 		c.tiers = append(c.tiers, c.disk)
@@ -323,68 +305,45 @@ func NewCache(opts CacheOptions) *Cache {
 	return c
 }
 
-// approxSize estimates an artifact's in-memory footprint for the budget.
-func approxSize(art Artifact, wire []byte) int64 {
-	if s, ok := art.(Sizer); ok {
-		return s.ApproxBytes()
-	}
-	if wire != nil {
-		return int64(len(wire))
-	}
-	return 1 << 10 // unknown artifact kind: count something, not nothing
-}
+// fits reports whether an artifact of size bytes may be held in memory at
+// all: one larger than the whole budget never is.
+func (c *Cache) fits(size int64) bool { return c.maxBytes <= 0 || size <= c.maxBytes }
 
-// insertLocked adds art under key, evicting oldest entries as needed to
-// respect the budget. Returns false (storing nothing) when the artifact
-// alone exceeds the budget. Callers hold c.mu.
-func (c *Cache) insertLocked(key string, art Artifact, wire []byte, size int64) bool {
-	if c.maxBytes > 0 && size > c.maxBytes {
-		return false
-	}
-	if _, ok := c.entries[key]; ok {
+// insertLocked holds e under key, evicting the oldest other entries until
+// the budget is met. The caller has checked fits(e.size) and holds c.mu.
+func (c *Cache) insertLocked(key string, e memEntry) {
+	if old, ok := c.entries[key]; ok {
 		// Overwrite: drop the old accounting; the slot keeps its FIFO age.
-		c.total -= c.sizes[key]
+		c.total -= old.size
 	} else {
 		c.order = append(c.order, key)
 	}
-	c.entries[key] = art
-	c.sizes[key] = size
-	c.total += size
-	if c.keepWire && wire != nil {
-		c.wire[key] = wire
-	}
-	if c.maxBytes > 0 {
-		for c.total > c.maxBytes && len(c.order) > 0 {
-			oldest := c.order[0]
-			c.order = c.order[1:]
-			if oldest == key {
-				// Never evict the entry just inserted; re-append it.
-				c.order = append(c.order, oldest)
-				continue
-			}
-			if _, ok := c.entries[oldest]; !ok {
-				continue // already overwritten out
-			}
-			c.total -= c.sizes[oldest]
-			delete(c.entries, oldest)
-			delete(c.sizes, oldest)
-			delete(c.wire, oldest)
-			c.stats.Evicted++
+	c.entries[key] = e
+	c.total += e.size
+	for c.maxBytes > 0 && c.total > c.maxBytes {
+		oldest := c.order[0]
+		c.order = c.order[1:]
+		if oldest == key {
+			// Never evict the entry just inserted; re-append it.
+			c.order = append(c.order, oldest)
+			continue
 		}
+		c.total -= c.entries[oldest].size
+		delete(c.entries, oldest)
+		c.stats.Evicted++
 	}
-	return true
 }
 
 // Get looks the key up in memory, then (with a codec) through the lower
 // tiers in order. The returned artifact is a fresh clone owned by the
 // caller. A corrupt tier entry counts as a miss; a hit below memory is
-// promoted to memory and written back into the tiers above it.
+// promoted to memory, and a hit below the disk spill is written into it.
 func (c *Cache) Get(key string, codec *Codec) (Artifact, bool) {
 	c.mu.Lock()
-	if art, ok := c.entries[key]; ok {
+	if e, ok := c.entries[key]; ok {
 		c.stats.Hits++
 		c.mu.Unlock()
-		return art.CloneArtifact(), true
+		return e.art.CloneArtifact(), true
 	}
 	c.mu.Unlock()
 
@@ -392,7 +351,7 @@ func (c *Cache) Get(key string, codec *Codec) (Artifact, bool) {
 		// Tier fetches run unlocked: the disk read is cheap but a peer
 		// fetch is a network round trip, and two goroutines racing the same
 		// key simply promote identical content.
-		for i, tier := range c.tiers {
+		for _, tier := range c.tiers {
 			data, err := tier.Fetch(key)
 			if err != nil {
 				continue // nothing at this tier
@@ -406,22 +365,21 @@ func (c *Cache) Get(key string, codec *Codec) (Artifact, bool) {
 				}
 				continue // corrupt or version-skewed: a miss at this tier
 			}
-			// Write back into the faster tiers so the next lookup — and the
-			// next process start — stops earlier.
-			for _, upper := range c.tiers[:i] {
-				_ = upper.Store(key, data)
+			fromDisk := tier == c.disk
+			if !fromDisk && c.disk != nil {
+				// Fill the spill so the next process start stops there.
+				_ = c.disk.Store(key, data)
 			}
-			size := approxSize(art, data)
+			size := art.ApproxBytes()
 			c.mu.Lock()
-			if c.maxBytes <= 0 || size <= c.maxBytes {
-				c.insertLocked(key, art.CloneArtifact(), data, size)
+			if c.fits(size) {
+				c.insertLocked(key, memEntry{art: art.CloneArtifact(), codec: codec, size: size})
 			}
-			if tier.Label() == "disk" {
+			if fromDisk {
 				c.stats.DiskHits++
 			} else {
 				c.stats.PeerHits++
 			}
-			c.stats.Entries = len(c.entries)
 			c.mu.Unlock()
 			return art, true
 		}
@@ -433,51 +391,55 @@ func (c *Cache) Get(key string, codec *Codec) (Artifact, bool) {
 	return nil, false
 }
 
-// Put stores a deep clone of the artifact and, with a codec, encodes the
-// wire entry for the lower tiers (and for EntryBytes when KeepWire is on).
-// Tier write failures are swallowed: the memory entry is already in place
-// and the spill is an optimization, not a durability promise.
+// Put stores a deep clone of the artifact under key and, with a codec and
+// a Dir spill, writes its wire entry to disk. Spill write failures are
+// swallowed: the memory entry is already in place and the spill is an
+// optimization, not a durability promise.
 func (c *Cache) Put(key string, art Artifact, codec *Codec) {
-	var entry []byte
-	if codec != nil && (len(c.tiers) > 0 || c.keepWire) {
-		// Encode from the caller's artifact directly: Put returns before the
-		// caller can mutate it again, and the bytes are the same as encoding
-		// a clone would produce.
-		entry, _ = EncodeEntry(art, codec)
-	}
-	size := approxSize(art, entry)
-	overBudget := c.maxBytes > 0 && size > c.maxBytes
+	size := art.ApproxBytes()
 	var clone Artifact
-	if !overBudget {
+	if c.fits(size) {
 		// An artifact the budget will refuse anyway is never cloned — at
 		// production scale that skips a deep netlist copy per stage.
 		clone = art.CloneArtifact()
 	}
 	c.mu.Lock()
-	if !overBudget {
-		c.insertLocked(key, clone, entry, size)
+	if clone != nil {
+		c.insertLocked(key, memEntry{art: clone, codec: codec, size: size})
 	}
 	c.stats.Stores++
-	c.stats.Entries = len(c.entries)
 	c.mu.Unlock()
 
 	// Only the local spill receives writes; remote tiers fill by fetching
 	// (a peer's artifact store is its own business).
-	if entry != nil && c.disk != nil {
-		_ = c.disk.Store(key, entry)
+	if codec != nil && c.disk != nil {
+		// Encode from the caller's artifact directly: Put returns before the
+		// caller can mutate it again, and the bytes are the same as encoding
+		// the clone would produce.
+		if entry, err := EncodeEntry(art, codec); err == nil {
+			_ = c.disk.Store(key, entry)
+		}
 	}
 }
 
 // EntryBytes returns the serialized wire entry for key so a fleet node can
-// serve its cache to peers. Only local state is consulted — the in-memory
-// wire copy (with KeepWire) and the disk spill — never the network tiers,
-// so peer-to-peer lookups cannot loop.
+// serve its cache to peers: a memory entry encoded on demand with the codec
+// it was stored under, else the disk spill, never the network tiers (so
+// peer-to-peer lookups cannot loop). The key comes off the network, so only
+// lowercase hex, the alphabet of a plan Fingerprint, can name a spill file.
 func (c *Cache) EntryBytes(key string) ([]byte, bool) {
+	if key == "" || strings.Trim(key, "0123456789abcdef") != "" {
+		return nil, false
+	}
 	c.mu.Lock()
-	entry, ok := c.wire[key]
+	e, ok := c.entries[key]
 	c.mu.Unlock()
-	if ok {
-		return entry, true
+	if ok && e.codec != nil {
+		// The clone is never mutated once held, so encoding it unlocked
+		// is safe even if it is evicted meanwhile.
+		if entry, err := EncodeEntry(e.art, e.codec); err == nil {
+			return entry, true
+		}
 	}
 	if c.disk != nil {
 		if data, err := c.disk.Fetch(key); err == nil {
@@ -494,13 +456,6 @@ func (c *Cache) Stats() Stats {
 	s := c.stats
 	s.Entries = len(c.entries)
 	return s
-}
-
-// Len reports the number of in-memory entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Wire entry layout (one cache entry as stored on disk or served to a

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,14 +18,22 @@ import (
 	"fold3d/internal/pool"
 )
 
-// testArtifact is a minimal Artifact for cache tests.
+// testArtifact is a minimal Artifact for cache tests. Its size is one
+// byte per value, so budget arithmetic reads off the literals; clones,
+// when set, counts CloneArtifact calls.
 type testArtifact struct {
-	Vals []int
+	Vals   []int
+	clones *int
 }
 
 func (a *testArtifact) CloneArtifact() Artifact {
+	if a.clones != nil {
+		*a.clones++
+	}
 	return &testArtifact{Vals: append([]int(nil), a.Vals...)}
 }
+
+func (a *testArtifact) ApproxBytes() int64 { return int64(len(a.Vals)) }
 
 func testCodec() *Codec {
 	return &Codec{
@@ -377,8 +386,8 @@ func TestCacheVersionSkewIsMissNotCorrupt(t *testing.T) {
 func TestCacheMemoryOnlyWithoutDir(t *testing.T) {
 	c := NewCache(CacheOptions{})
 	c.Put("k", &testArtifact{Vals: []int{5}}, testCodec())
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("Entries = %d, want 1", n)
 	}
 	if _, ok := c.Get("missing", nil); ok {
 		t.Fatal("phantom hit")
@@ -405,17 +414,25 @@ func TestStatsHitRatio(t *testing.T) {
 	}
 }
 
-// TestCacheStatsSnapshotUnderLoad drives concurrent Put/Get/Stats through
-// the race detector: Stats must snapshot under the cache lock, never
-// observe torn counters, and end exactly consistent with the operations
-// performed.
+// TestCacheStatsSnapshotUnderLoad drives concurrent Put/Get/EntryBytes/
+// Stats through the race detector: Stats must snapshot under the cache
+// lock, never observe torn counters, and end exactly consistent with the
+// operations performed; on-demand peer encoding must always restore.
 func TestCacheStatsSnapshotUnderLoad(t *testing.T) {
 	c := NewCache(CacheOptions{})
+	codec := testCodec()
 	const n = 64
 	err := pool.Run(context.Background(), 8, n, func(_ context.Context, i int) error {
-		key := fmt.Sprintf("k%d", i%8)
-		c.Put(key, &testArtifact{Vals: []int{i}}, nil)
+		key := fmt.Sprintf("a%d", i%8)
+		c.Put(key, &testArtifact{Vals: []int{i}}, codec)
 		c.Get(key, nil)
+		entry, ok := c.EntryBytes(key)
+		if !ok {
+			return fmt.Errorf("EntryBytes(%s) missed a held entry", key)
+		}
+		if _, err := DecodeEntry(entry, codec); err != nil {
+			return fmt.Errorf("EntryBytes(%s): %v", key, err)
+		}
 		st := c.Stats()
 		if st.Hits < 0 || st.Stores < 0 || st.Entries < 0 || st.Entries > n {
 			return fmt.Errorf("torn snapshot: %+v", st)
@@ -435,17 +452,11 @@ func TestCacheStatsSnapshotUnderLoad(t *testing.T) {
 // tests: entries can be preloaded (warm peer), corrupted, or left absent.
 type fakeTier struct {
 	mu      sync.Mutex
-	label   string
 	entries map[string][]byte
 	fetches int
-	stores  int
 }
 
-func newFakeTier(label string) *fakeTier {
-	return &fakeTier{label: label, entries: map[string][]byte{}}
-}
-
-func (f *fakeTier) Label() string { return f.label }
+func newFakeTier() *fakeTier { return &fakeTier{entries: map[string][]byte{}} }
 
 func (f *fakeTier) Fetch(key string) ([]byte, error) {
 	f.mu.Lock()
@@ -458,21 +469,13 @@ func (f *fakeTier) Fetch(key string) ([]byte, error) {
 	return entry, nil
 }
 
-func (f *fakeTier) Store(key string, entry []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stores++
-	f.entries[key] = append([]byte(nil), entry...)
-	return nil
-}
-
 // TestCachePeerTierHit pins the network-tier path end to end: a miss in
 // memory and disk falls through to the peer tier, the fetched entry
 // restores byte-identically, counts as a PeerHit, promotes to memory, and
 // writes back into the disk tier so the next process start stops there.
 func TestCachePeerTierHit(t *testing.T) {
 	codec := testCodec()
-	peer := newFakeTier("peer")
+	peer := newFakeTier()
 	entry, err := EncodeEntry(&testArtifact{Vals: []int{7, 8, 9}}, codec)
 	if err != nil {
 		t.Fatal(err)
@@ -530,7 +533,7 @@ func TestCachePeerTierCorruptIsMiss(t *testing.T) {
 	}
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
-			peer := newFakeTier("peer")
+			peer := newFakeTier()
 			peer.entries["abc123"] = bad
 			c := NewCache(CacheOptions{Tiers: []CacheTier{peer}})
 			if _, ok := c.Get("abc123", codec); ok {
@@ -549,9 +552,10 @@ func TestCachePeerTierCorruptIsMiss(t *testing.T) {
 	}
 }
 
-// TestCacheEntryBytes pins the peer-serving path: EntryBytes returns the
-// exact wire entry from the KeepWire copy or the disk spill, and never
-// consults remote tiers (so peer lookups cannot cascade).
+// TestCacheEntryBytes pins the peer-serving path: EntryBytes encodes a
+// memory entry on demand or reads the disk spill, never consults remote
+// tiers (so peer lookups cannot cascade), and serves no key outside the
+// hex alphabet of a fingerprint.
 func TestCacheEntryBytes(t *testing.T) {
 	codec := testCodec()
 	art := &testArtifact{Vals: []int{4, 5}}
@@ -560,24 +564,46 @@ func TestCacheEntryBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// KeepWire: served from memory, no disk needed.
-	mem := NewCache(CacheOptions{KeepWire: true})
+	// Memory: encoded on demand, no disk needed, and it restores.
+	mem := NewCache(CacheOptions{})
 	mem.Put("aa11", art, codec)
 	got, ok := mem.EntryBytes("aa11")
 	if !ok || !bytes.Equal(got, want) {
-		t.Fatalf("KeepWire EntryBytes mismatch (ok=%v)", ok)
+		t.Fatalf("memory EntryBytes mismatch (ok=%v)", ok)
+	}
+	back, err := DecodeEntry(got, codec)
+	if err != nil || !slices.Equal(back.(*testArtifact).Vals, art.Vals) {
+		t.Fatalf("memory entry does not restore: %v %v", back, err)
+	}
+	// A memory entry stored without a codec has no wire form to serve.
+	mem.Put("dd44", art, nil)
+	if _, ok := mem.EntryBytes("dd44"); ok {
+		t.Fatal("EntryBytes served an entry stored without a codec")
 	}
 
-	// Disk spill: served from the file even without KeepWire.
-	disk := NewCache(CacheOptions{Dir: t.TempDir()})
-	disk.Put("bb22", art, codec)
-	got, ok = disk.EntryBytes("bb22")
+	// Disk spill: a fresh cache over the same directory serves the file.
+	dir := t.TempDir()
+	NewCache(CacheOptions{Dir: dir}).Put("bb22", art, codec)
+	got, ok = NewCache(CacheOptions{Dir: dir}).EntryBytes("bb22")
 	if !ok || !bytes.Equal(got, want) {
 		t.Fatalf("disk EntryBytes mismatch (ok=%v)", ok)
 	}
 
+	// A key that is not hex never reaches the disk, even when it would
+	// name a real entry file outside the spill directory.
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "x.f3dc"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	escape := NewCache(CacheOptions{Dir: filepath.Join(root, "cache")})
+	for _, key := range []string{"../x", "", "AA11", "aa11/.."} {
+		if _, ok := escape.EntryBytes(key); ok {
+			t.Errorf("EntryBytes(%q) served a file outside the cache", key)
+		}
+	}
+
 	// Remote tiers are never consulted.
-	peer := newFakeTier("peer")
+	peer := newFakeTier()
 	peer.entries["cc33"] = want
 	remote := NewCache(CacheOptions{Tiers: []CacheTier{peer}})
 	if _, ok := remote.EntryBytes("cc33"); ok {
@@ -588,7 +614,85 @@ func TestCacheEntryBytes(t *testing.T) {
 	}
 
 	// Unknown key without any local copy.
-	if _, ok := mem.EntryBytes("missing"); ok {
+	if _, ok := mem.EntryBytes("ee55"); ok {
 		t.Fatal("EntryBytes invented an entry")
+	}
+}
+
+// TestCacheBudget pins the MaxBytes accounting (testArtifact sizes are
+// their value counts): FIFO eviction and its Evicted count, the entry just
+// inserted is never evicted, an overwrite keeps its FIFO age and
+// re-accounts its size, an artifact over the whole budget is neither
+// cloned nor held but spills and comes back as a disk hit, and EntryBytes
+// of an evicted key falls back to the spill.
+func TestCacheBudget(t *testing.T) {
+	codec := testCodec()
+	c := NewCache(CacheOptions{Dir: t.TempDir(), MaxBytes: 10})
+	put := func(key string, n int) *testArtifact {
+		art := &testArtifact{Vals: make([]int, n)}
+		c.Put(key, art, codec)
+		return art
+	}
+	// check asserts the Evicted count and which keys memory holds (a
+	// nil-codec Get never leaves memory).
+	check := func(step string, evicted int, want ...string) {
+		t.Helper()
+		var held []string
+		for _, k := range []string{"aaaa", "bbbb", "cccc", "dddd", "eeee", "ffff"} {
+			if _, ok := c.Get(k, nil); ok {
+				held = append(held, k)
+			}
+		}
+		if st := c.Stats(); st.Evicted != evicted || st.Entries != len(want) || !slices.Equal(held, want) {
+			t.Fatalf("%s: evicted=%d entries=%d held=%v, want evicted=%d held=%v",
+				step, st.Evicted, st.Entries, held, evicted, want)
+		}
+	}
+
+	a := put("aaaa", 4)
+	put("bbbb", 4)
+	check("under budget", 0, "aaaa", "bbbb")
+	put("cccc", 4) // 12 > 10: the oldest goes
+	check("fifo", 1, "bbbb", "cccc")
+
+	// Overwriting bbbb with 2 values frees 2 bytes, so dddd fits without
+	// an eviction (8+4 would not) ...
+	put("bbbb", 2)
+	put("dddd", 4)
+	check("overwrite re-accounts", 1, "bbbb", "cccc", "dddd")
+	// ... and bbbb kept its age: it is still the oldest.
+	put("eeee", 1)
+	check("overwrite keeps age", 2, "cccc", "dddd", "eeee")
+
+	// Growing the oldest entry to the whole budget must evict the others,
+	// never itself.
+	put("cccc", 10)
+	check("inserted survives", 4, "cccc")
+	if got, _ := c.Get("cccc", nil); len(got.(*testArtifact).Vals) != 10 {
+		t.Fatalf("overwritten entry holds %v", got)
+	}
+
+	// Over the whole budget: not cloned, not held, but spilled.
+	clones := 0
+	big := &testArtifact{Vals: make([]int, 11), clones: &clones}
+	c.Put("ffff", big, codec)
+	if clones != 0 {
+		t.Fatalf("over-budget artifact cloned %d times", clones)
+	}
+	check("over budget", 4, "cccc")
+	if got, ok := c.Get("ffff", codec); !ok || len(got.(*testArtifact).Vals) != 11 {
+		t.Fatalf("over-budget artifact not served from the spill: %v %v", got, ok)
+	}
+	if st := c.Stats(); st.DiskHits != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want one disk hit and still one entry", st)
+	}
+
+	// An evicted key is served to peers from the spill.
+	want, err := EncodeEntry(a, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.EntryBytes("aaaa"); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("evicted EntryBytes did not fall back to disk (ok=%v)", ok)
 	}
 }

@@ -67,10 +67,7 @@ func newFleetTiers(tb testing.TB, n, depth int, wrap func(i int, tier pipeline.C
 		if wrap != nil {
 			peer = wrap(i, peer)
 		}
-		cache := pipeline.NewCache(pipeline.CacheOptions{
-			Tiers:    []pipeline.CacheTier{peer},
-			KeepWire: true,
-		})
+		cache := pipeline.NewCache(pipeline.CacheOptions{Tiers: []pipeline.CacheTier{peer}})
 		mgr := jobs.NewManager(jobs.Options{Workers: 1, QueueDepth: depth, Cache: cache, NodeID: nodes[i].ID})
 		srv := httptest.NewUnstartedServer(NewWithOptions(Options{Manager: mgr, Router: router}))
 		srv.Listener.Close()

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"fold3d/internal/jobs"
+	"fold3d/internal/pipeline"
 	"fold3d/internal/place"
 )
 
@@ -761,6 +764,29 @@ func TestArtifactEndpointServesWireEntries(t *testing.T) {
 	var e ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error.Code != "not_found" {
 		t.Fatalf("artifact 404 envelope = %+v (%v)", e, err)
+	}
+}
+
+// TestArtifactEndpointConfinesKeys pins the artifact endpoint to the cache
+// directory. ServeMux unescapes %2F inside the {key} segment, so a crafted
+// key arrives as a relative path; a single-node daemon checks no peer
+// token, so this reaches any client. Only hex keys may name a spill file.
+func TestArtifactEndpointConfinesKeys(t *testing.T) {
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "secret.f3dc"), []byte("secret"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache := pipeline.NewCache(pipeline.CacheOptions{Dir: filepath.Join(root, "a", "cache")})
+	ts, _ := newTestServer(t, jobs.Options{Cache: cache})
+
+	resp, err := http.Get(ts.URL + "/v1/artifacts/..%2F..%2Fsecret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&e); resp.StatusCode != http.StatusNotFound || err != nil || e.Error.Code != "not_found" {
+		t.Fatalf("traversal key = %d %+v (%v), want 404 not_found", resp.StatusCode, e, err)
 	}
 }
 

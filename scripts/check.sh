@@ -64,11 +64,12 @@ go test -race -cpu=4 -count=2 ./internal/place/analytical/
 # matrix already ran under -race above (go test -race ./...); re-run the
 # heaviest style with extra CPUs so the shared cache sees more goroutine
 # interleavings, plus the disk-spill, cross-style reuse and fold-artifact
-# properties.
+# properties. The cache itself (tiers, budget, peer serving) runs whole.
 echo "==> go test -race -cpu=4 (artifact-cache equivalence)"
 go test -race -cpu=4 \
 	-run 'TestCacheEquivalence/fold-F2F|TestCacheDiskEquivalence|TestCacheCrossStyleReuse|TestFoldCache' \
 	./internal/flow/
+go test -race -cpu=4 ./internal/pipeline/
 
 # The fold3dd server is the one sanctioned home of long-lived goroutines
 # (scheduler workers, accept loop); re-run its suites under the race
@@ -79,98 +80,6 @@ go test -race -cpu=4 \
 echo "==> go test -race -cpu=4 (fold3dd job queue + HTTP server + daemon + fleet + client)"
 go test -race -cpu=4 -count=2 ./internal/jobs/ ./internal/server/ ./cmd/fold3dd/ ./internal/cluster/ ./pkg/fold3d/
 
-# Daemon smoke test: boot the real binary on a random port, run one small
-# job end to end over HTTP, scrape /metrics, and require a graceful
-# SIGTERM exit.
-echo "==> fold3dd smoke (boot, one job, scrape /metrics)"
-SMOKEDIR="$(mktemp -d)"
-SMOKEPID=""
-APID=""
-BPID=""
-cleanup_smoke() {
-	[ -n "$SMOKEPID" ] && kill "$SMOKEPID" 2>/dev/null
-	[ -n "$APID" ] && kill "$APID" 2>/dev/null
-	[ -n "$BPID" ] && kill "$BPID" 2>/dev/null
-	rm -rf "$SMOKEDIR"
-}
-trap cleanup_smoke EXIT
-go build -o "$SMOKEDIR/fold3dd" ./cmd/fold3dd
-"$SMOKEDIR/fold3dd" -addr 127.0.0.1:0 2>"$SMOKEDIR/log" &
-SMOKEPID=$!
-ADDR=""
-i=0
-while [ "$i" -lt 100 ]; do
-	ADDR="$(sed -n 's/^fold3dd: serving on //p' "$SMOKEDIR/log")"
-	[ -n "$ADDR" ] && break
-	i=$((i + 1))
-	sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "check.sh: fold3dd never bound a port" >&2; exit 1; }
-ID="$(curl -sf -X POST "http://$ADDR/v1/jobs" -d '{"experiments":["table4"]}' |
-	sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
-[ -n "$ID" ] || { echo "check.sh: fold3dd rejected the smoke job" >&2; exit 1; }
-STATE=""
-i=0
-while [ "$i" -lt 300 ]; do
-	STATE="$(curl -sf "http://$ADDR/v1/jobs/$ID" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')"
-	case "$STATE" in done | failed | canceled) break ;; esac
-	i=$((i + 1))
-	sleep 0.1
-done
-[ "$STATE" = done ] || { echo "check.sh: smoke job ended in state '$STATE'" >&2; exit 1; }
-curl -sf "http://$ADDR/metrics" | grep -q 'fold3dd_jobs_total{state="done"} 1' || {
-	echo "check.sh: /metrics did not count the smoke job" >&2
-	exit 1
-}
-
-# PR 9: the same daemon must run a job on the analytical backend and
-# reject an unknown backend name with a 400 before admission.
-AID="$(curl -sf -X POST "http://$ADDR/v1/jobs" -d '{"experiments":["table4"],"placer":"analytical"}' |
-	sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
-[ -n "$AID" ] || { echo "check.sh: fold3dd rejected the analytical smoke job" >&2; exit 1; }
-STATE=""
-i=0
-while [ "$i" -lt 300 ]; do
-	STATE="$(curl -sf "http://$ADDR/v1/jobs/$AID" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')"
-	case "$STATE" in done | failed | canceled) break ;; esac
-	i=$((i + 1))
-	sleep 0.1
-done
-[ "$STATE" = done ] || { echo "check.sh: analytical smoke job ended in state '$STATE'" >&2; exit 1; }
-CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/jobs" \
-	-d '{"experiments":["table4"],"placer":"bogus"}')"
-[ "$CODE" = 400 ] || { echo "check.sh: unknown placer returned HTTP $CODE, want 400" >&2; exit 1; }
-
-# PR 10: the daemon must answer "will this folding melt" — run the thermal
-# experiment with a peak-temperature budget end to end, and reject an
-# impossible budget with a 400 before admission.
-TID="$(curl -sf -X POST "http://$ADDR/v1/jobs" \
-	-d '{"experiments":["thermal"],"thermal":{"tmax_c":85,"vias":64}}' |
-	sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
-[ -n "$TID" ] || { echo "check.sh: fold3dd rejected the thermal smoke job" >&2; exit 1; }
-STATE=""
-i=0
-while [ "$i" -lt 600 ]; do
-	STATE="$(curl -sf "http://$ADDR/v1/jobs/$TID" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')"
-	case "$STATE" in done | failed | canceled) break ;; esac
-	i=$((i + 1))
-	sleep 0.1
-done
-[ "$STATE" = done ] || { echo "check.sh: thermal smoke job ended in state '$STATE'" >&2; exit 1; }
-curl -sf "http://$ADDR/v1/jobs/$TID" | grep -q 'Tmax' || {
-	echo "check.sh: thermal smoke result carries no Tmax report" >&2
-	exit 1
-}
-CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/jobs" \
-	-d '{"experiments":["thermal"],"thermal":{"tmax_c":-5}}')"
-[ "$CODE" = 400 ] || { echo "check.sh: impossible thermal budget returned HTTP $CODE, want 400" >&2; exit 1; }
-kill "$SMOKEPID"
-if ! wait "$SMOKEPID"; then
-	echo "check.sh: fold3dd did not exit cleanly on SIGTERM" >&2
-	exit 1
-fi
-SMOKEPID=""
-
 # Fleet smoke test: boot two daemons as each other's peers, find a seed
 # whose {table4} and {table1,table4} requests hash to different owners
 # (the pair shares its table4 stage artifacts), run both through one entry
@@ -178,6 +87,16 @@ SMOKEPID=""
 # peer over the artifact network tier (peer_hit > 0 in that node's
 # /metrics). Both nodes must exit cleanly on SIGTERM.
 echo "==> fold3dd fleet smoke (two nodes, forwarding, peer cache fetch)"
+SMOKEDIR="$(mktemp -d)"
+APID=""
+BPID=""
+cleanup_smoke() {
+	[ -n "$APID" ] && kill "$APID" 2>/dev/null
+	[ -n "$BPID" ] && kill "$BPID" 2>/dev/null
+	rm -rf "$SMOKEDIR"
+}
+trap cleanup_smoke EXIT
+go build -o "$SMOKEDIR/fold3dd" ./cmd/fold3dd
 PORTA=42801
 PORTB=42802
 PEERS="a=http://127.0.0.1:$PORTA,b=http://127.0.0.1:$PORTB"
