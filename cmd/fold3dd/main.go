@@ -73,6 +73,22 @@ import (
 	"fold3d/internal/server"
 )
 
+// Connection timeouts of the daemon's HTTP server. readHeaderTimeout bounds
+// how long a client may take to send its request headers, so a slowloris
+// client trickling a header cannot hold a connection open; idleTimeout
+// closes keep-alive connections nobody reuses. There is deliberately no
+// ReadTimeout or WriteTimeout: an NDJSON event stream lives as long as its
+// job.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer wraps h in the daemon's http.Server.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // main delegates to run so defers fire before the process exits.
 func main() {
 	os.Exit(run(os.Args[1:], nil))
@@ -145,7 +161,7 @@ func run(args []string, ready func(addr string)) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := &http.Server{Handler: server.NewWithOptions(server.Options{Manager: mgr, Router: router, Pprof: *pprofOn})}
+	srv := newServer(server.NewWithOptions(server.Options{Manager: mgr, Router: router, Pprof: *pprofOn}))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }() // sanctioned: the accept loop of the server exemption
 

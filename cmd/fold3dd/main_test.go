@@ -2,6 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -142,5 +145,44 @@ func TestRunBadFlags(t *testing.T) {
 func TestRunBadAddr(t *testing.T) {
 	if code := run([]string{"-addr", "256.0.0.1:bad"}, nil); code != 1 {
 		t.Errorf("bad addr exit = %d, want 1", code)
+	}
+}
+
+// TestServerClosesSlowHeaders pins the slowloris guard: a raw connection
+// that sends half a request header is closed by the server within the
+// header timeout plus some slack.
+func TestServerClosesSlowHeaders(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(http.NotFoundHandler())
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-errc
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: fold3dd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 3 * time.Second
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + slack)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	waited := time.Since(start)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("read after %v: %d bytes, %v; want the server to close the connection", waited, n, err)
+	}
+	if waited < readHeaderTimeout-time.Second {
+		t.Fatalf("server closed after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }

@@ -169,13 +169,6 @@ type clusterArtifact struct {
 	Vals []int
 }
 
-// CloneArtifact deep-copies the artifact (pipeline.Artifact contract).
-func (a *clusterArtifact) CloneArtifact() pipeline.Artifact {
-	return &clusterArtifact{Vals: append([]int(nil), a.Vals...)}
-}
-
-func (a *clusterArtifact) ApproxBytes() int64 { return int64(8 * len(a.Vals)) }
-
 func clusterCodec() *pipeline.Codec {
 	return &pipeline.Codec{
 		Kind:    "clustertest",

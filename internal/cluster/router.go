@@ -26,9 +26,11 @@ const ForwardHeader = "X-Fold3d-Forwarded"
 // proxying a request. The server maps it to 502.
 var ErrPeerUnreachable = errors.New("cluster: peer unreachable")
 
-// maxArtifactBytes bounds a peer artifact response. Block artifacts are a
-// few MB; 64 MiB leaves generous headroom while still bounding a
-// misbehaving peer.
+// maxArtifactBytes bounds a peer artifact response. Measured over the spill
+// of `fold3d -exp all`, block entries reach 0.29 MB at scale 1000 (median
+// 39 KB) and 0.83 MB at scale 300 (median 99 KB), and fold entries stay
+// under 3 KB. Entry size grows as one over the scale, so 64 MiB leaves
+// generous headroom while still bounding a misbehaving peer.
 const maxArtifactBytes = 64 << 20
 
 // Router proxies requests to their owner node and fetches cache entries

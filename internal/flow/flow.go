@@ -266,7 +266,7 @@ func (f *Flow) ImplementBlockContext(ctx context.Context, b *netlist.Block, aspe
 		return nil, err
 	}
 	// Recycle the engines only after Run returns: the executor's artifact
-	// capture (which clones st.res for the cache) has finished, and
+	// capture (which the cache encodes before Put returns) has finished, and
 	// stageFinal copied the timing report out of the optimizer's engine,
 	// so nothing reachable from st.res aliases pooled state. A cache-hit
 	// restore leaves both nil.

@@ -1,9 +1,7 @@
 package flow
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -23,28 +21,13 @@ type foldArtifact struct {
 	Result   core.FoldResult
 }
 
-// CloneArtifact deep-copies the die slices.
-func (a *foldArtifact) CloneArtifact() pipeline.Artifact {
-	return &foldArtifact{
-		CellDie:  append([]byte(nil), a.CellDie...),
-		MacroDie: append([]byte(nil), a.MacroDie...),
-		PortDie:  append([]byte(nil), a.PortDie...),
-		Result:   a.Result,
-	}
-}
+// foldCodecVersion versions the fold payload layout (see codec.go); bump
+// on any layout change so older spill files miss cleanly instead of
+// mis-decoding.
+const foldCodecVersion = 2
 
-// ApproxBytes reports the artifact's footprint for the cache's MaxBytes
-// budget: one byte per die entry plus a fixed overhead.
-func (a *foldArtifact) ApproxBytes() int64 {
-	return int64(len(a.CellDie)+len(a.MacroDie)+len(a.PortDie)) + 256
-}
-
-// foldCodecVersion versions the gob layout of foldArtifact; bump on any
-// field change so older spill files miss cleanly instead of mis-decoding.
-const foldCodecVersion = 1
-
-// foldCodec is the disk and peer codec of fold artifacts. Unlike block
-// artifacts they hold no library pointers, so no re-interning is needed.
+// foldCodec is the codec of fold artifacts for every cache tier. Unlike
+// block artifacts they hold no library pointers, so it needs no library.
 var foldCodec = &pipeline.Codec{
 	Kind:    "fold",
 	Version: foldCodecVersion,
@@ -53,18 +36,14 @@ var foldCodec = &pipeline.Codec{
 		if !ok {
 			return nil, fmt.Errorf("flow: encoding %T, want *foldArtifact", a)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(art); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return encodeFold(art), nil
 	},
 	Decode: func(data []byte) (pipeline.Artifact, error) {
-		var art foldArtifact
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&art); err != nil {
-			return nil, err
+		art, err := decodeFold(data)
+		if err != nil {
+			return nil, fmt.Errorf("flow: fold payload: %w", err)
 		}
-		return &art, nil
+		return art, nil
 	},
 }
 
@@ -144,8 +123,9 @@ func (st *foldState) stageFold(ctx context.Context) error {
 }
 
 // artifactSpec captures the folded dies and restores them onto the live
-// block. A restore whose slice lengths do not match the block (or that
-// carries a die other than 0 or 1) fails, and the executor recomputes.
+// block. A restore whose slice lengths do not match the block fails, and
+// the executor recomputes; the codec already rejected any die other than 0
+// or 1.
 func (st *foldState) artifactSpec() *pipeline.ArtifactSpec {
 	return &pipeline.ArtifactSpec{
 		Codec: foldCodec,
@@ -178,13 +158,6 @@ func (st *foldState) artifactSpec() *pipeline.ArtifactSpec {
 				return fmt.Errorf("flow: cached fold of %s has %d/%d/%d dies, block has %d/%d/%d",
 					b.Name, len(art.CellDie), len(art.MacroDie), len(art.PortDie),
 					len(b.Cells), len(b.Macros), len(b.Ports))
-			}
-			for _, dies := range [][]byte{art.CellDie, art.MacroDie, art.PortDie} {
-				for _, d := range dies {
-					if d > 1 {
-						return fmt.Errorf("flow: cached fold of %s holds die %d", b.Name, d)
-					}
-				}
 			}
 			for i, d := range art.CellDie {
 				b.Cells[i].Die = netlist.Die(d)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fold3d/internal/core"
-	"fold3d/internal/floorplan"
 	"fold3d/internal/netlist"
 	"fold3d/internal/pipeline"
 	"fold3d/internal/t2"
@@ -31,22 +30,7 @@ func TestFoldCacheEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl := New(d, DefaultConfig())
-	// Attach chip-level ports the way the block experiments do, so the
-	// folds also assign port dies.
-	shapes := make(map[string]floorplan.Shape, len(d.Specs))
-	for name, spec := range d.Specs {
-		w, h := fl.EstimateShape(spec, 1)
-		shapes[name] = floorplan.Shape{Name: name, W: w, H: h}
-	}
-	fp, err := floorplan.RowPlan(shapes, t2.Rows(t2.Style2D), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chipNets, err := floorplan.AssignPorts(d.Blocks, fp, d.DrawnBundles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ConnectPorts(chipNets); err != nil {
+	if err := attachChipPorts(d, fl); err != nil {
 		t.Fatal(err)
 	}
 	natural, err := core.Fold(d.Blocks["L2T0"].Clone(), fl.foldOptionsFor("L2T0"))
@@ -70,7 +54,7 @@ func TestFoldCacheEquivalence(t *testing.T) {
 		name string
 		// open returns the cache a run uses; a disk tier opens a fresh
 		// memory layer over the same directory each time, so warm runs
-		// restore through the gob codec.
+		// restore from the spill file.
 		open func(dir string) *pipeline.Cache
 	}{
 		{"memory", nil},

@@ -119,20 +119,18 @@ func (h *Hasher) Sum() Fingerprint {
 	return Fingerprint(hex.EncodeToString(h.h.Sum(d[:0])))
 }
 
-// Artifact is a cacheable result. CloneArtifact must return a deep copy
-// sharing no mutable state with the receiver; the cache clones on both Put
-// and Get so entries can never alias live flow state. ApproxBytes reports
-// the artifact's rough in-memory footprint, which the MaxBytes budget
-// charges for every memory entry.
-type Artifact interface {
-	CloneArtifact() Artifact
-	ApproxBytes() int64
-}
+// Artifact is a cacheable result. The cache never holds one: every tier,
+// memory included, holds the artifact's Codec encoding, and every hit is a
+// fresh decode owned by the caller. So an Artifact needs no methods; its
+// codec is its whole contract with the cache.
+type Artifact any
 
-// Codec serializes artifacts for the lower cache tiers (disk spill, peer
-// fetch). Kind and Version are written into the entry header and must match
-// on read; bumping Version invalidates (as misses, not errors) every older
-// entry of that kind.
+// Codec encodes artifacts for every cache tier. Kind and Version are
+// checked on every hit and written into the wire entry header; bumping
+// Version invalidates (as misses, not errors) every older entry of that
+// kind. Decode must not alias its input — the cache hands the same held
+// bytes to every hit and to peers — and must return an error rather than
+// panic on any malformed input.
 type Codec struct {
 	Kind    string
 	Version int
@@ -245,11 +243,10 @@ func (t *DiskTier) entryPath(key string) string {
 
 // CacheOptions configures a Cache.
 type CacheOptions struct {
-	// Dir, when non-empty, enables the on-disk spill: every Put with a
-	// codec also writes a versioned, checksummed file under Dir, and a
-	// memory miss falls back to reading it. The directory is created on
-	// first use and is safe to share across processes (entries are written
-	// atomically via rename).
+	// Dir, when non-empty, enables the on-disk spill: every Put also writes
+	// a versioned, checksummed file under Dir, and a memory miss falls back
+	// to reading it. The directory is created on first use and is safe to
+	// share across processes (entries are written atomically via rename).
 	Dir string
 	// Tiers appends further (typically network) tiers consulted after
 	// memory and the Dir spill, in order. A hit here is promoted to memory
@@ -257,12 +254,12 @@ type CacheOptions struct {
 	// by EntryBytes, so a fleet node serving its cache to peers cannot
 	// loop through its own peer tier.
 	Tiers []CacheTier
-	// MaxBytes, when positive, bounds the Artifact.ApproxBytes total held
-	// in memory (the memory-budgeted execution mode). Each memory entry is
-	// one decoded clone and nothing else, so the budget covers everything
-	// the cache holds. Put evicts the oldest entries until the new one
-	// fits, and an artifact larger than the whole budget is not held in
-	// memory at all — it still spills to Dir when configured, so a later
+	// MaxBytes, when positive, bounds the encoded payload bytes held in
+	// memory (the memory-budgeted execution mode). Each memory entry is one
+	// codec payload charged at its exact length, so the budget covers
+	// everything the cache holds. Put evicts the oldest entries until the
+	// new one fits, and a payload larger than the whole budget is not held
+	// in memory at all — it still spills to Dir when configured, so a later
 	// Get falls through to the lower tiers. Eviction only moves where a
 	// lookup is served from (or forces a recompute); results are
 	// fingerprint-identical either way.
@@ -270,10 +267,11 @@ type CacheOptions struct {
 }
 
 // Cache is a content-addressed artifact store, safe for concurrent use.
-// Keys are plan fingerprints; values are deep clones of the artifacts. The
-// lookup path runs memory → disk spill → network tiers; every tier below
-// memory speaks the same wire entry format, and a corrupt entry anywhere is
-// a counted miss, never an error.
+// Keys are plan fingerprints; values are codec payloads, encoded once by
+// Put or kept as fetched from a lower tier. The lookup path runs memory →
+// disk spill → network tiers; every tier below memory speaks the same wire
+// entry format, and a corrupt entry anywhere is a counted miss, never an
+// error.
 type Cache struct {
 	disk     *DiskTier // nil without a spill dir
 	tiers    []CacheTier
@@ -282,17 +280,19 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[string]memEntry
 	order   []string // insertion order, oldest first (FIFO eviction)
-	total   int64    // sum of entry sizes
+	total   int64    // sum of payload lengths
 	stats   Stats
 }
 
-// memEntry is one artifact held in memory: the cache's private clone, the
-// codec it was stored under (nil: EntryBytes cannot serve it) and its size.
+// memEntry is one artifact held in memory: its codec payload, never
+// mutated once held, and the codec kind and version that encoded it.
 type memEntry struct {
-	art   Artifact
-	codec *Codec
-	size  int64
+	payload []byte
+	kind    string
+	version int
 }
+
+func (e memEntry) size() int64 { return int64(len(e.payload)) }
 
 // NewCache returns an empty cache.
 func NewCache(opts CacheOptions) *Cache {
@@ -305,21 +305,21 @@ func NewCache(opts CacheOptions) *Cache {
 	return c
 }
 
-// fits reports whether an artifact of size bytes may be held in memory at
+// fits reports whether a payload of size bytes may be held in memory at
 // all: one larger than the whole budget never is.
 func (c *Cache) fits(size int64) bool { return c.maxBytes <= 0 || size <= c.maxBytes }
 
 // insertLocked holds e under key, evicting the oldest other entries until
-// the budget is met. The caller has checked fits(e.size) and holds c.mu.
+// the budget is met. The caller has checked fits(e.size()) and holds c.mu.
 func (c *Cache) insertLocked(key string, e memEntry) {
 	if old, ok := c.entries[key]; ok {
 		// Overwrite: drop the old accounting; the slot keeps its FIFO age.
-		c.total -= old.size
+		c.total -= old.size()
 	} else {
 		c.order = append(c.order, key)
 	}
 	c.entries[key] = e
-	c.total += e.size
+	c.total += e.size()
 	for c.maxBytes > 0 && c.total > c.maxBytes {
 		oldest := c.order[0]
 		c.order = c.order[1:]
@@ -328,105 +328,130 @@ func (c *Cache) insertLocked(key string, e memEntry) {
 			c.order = append(c.order, oldest)
 			continue
 		}
-		c.total -= c.entries[oldest].size
+		c.total -= c.entries[oldest].size()
 		delete(c.entries, oldest)
 		c.stats.Evicted++
 	}
 }
 
-// Get looks the key up in memory, then (with a codec) through the lower
-// tiers in order. The returned artifact is a fresh clone owned by the
-// caller. A corrupt tier entry counts as a miss; a hit below memory is
-// promoted to memory, and a hit below the disk spill is written into it.
+// Get looks the key up in memory, then through the lower tiers in order,
+// and decodes the hit with codec; the artifact is a fresh decode owned by
+// the caller. A nil codec always misses. A memory payload is checked only
+// for its codec kind and version: it was encoded in this process or
+// verified on its way in. A payload that fails to decode, or a corrupt tier
+// entry, counts as corrupt. A hit below memory is promoted to memory, and a
+// hit below the disk spill is written into it.
 func (c *Cache) Get(key string, codec *Codec) (Artifact, bool) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.stats.Hits++
-		c.mu.Unlock()
-		return e.art.CloneArtifact(), true
-	}
-	c.mu.Unlock()
-
 	if codec != nil {
-		// Tier fetches run unlocked: the disk read is cheap but a peer
-		// fetch is a network round trip, and two goroutines racing the same
-		// key simply promote identical content.
-		for _, tier := range c.tiers {
-			data, err := tier.Fetch(key)
-			if err != nil {
-				continue // nothing at this tier
-			}
-			art, derr := DecodeEntry(data, codec)
-			if derr != nil {
-				if isCorrupt(derr) {
-					c.mu.Lock()
-					c.stats.Corrupt++
-					c.mu.Unlock()
-				}
-				continue // corrupt or version-skewed: a miss at this tier
-			}
-			fromDisk := tier == c.disk
-			if !fromDisk && c.disk != nil {
-				// Fill the spill so the next process start stops there.
-				_ = c.disk.Store(key, data)
-			}
-			size := art.ApproxBytes()
-			c.mu.Lock()
-			if c.fits(size) {
-				c.insertLocked(key, memEntry{art: art.CloneArtifact(), codec: codec, size: size})
-			}
-			if fromDisk {
-				c.stats.DiskHits++
-			} else {
-				c.stats.PeerHits++
-			}
-			c.mu.Unlock()
+		if art, ok := c.getMemory(key, codec); ok {
+			return art, true
+		}
+		if art, ok := c.getTiers(key, codec); ok {
 			return art, true
 		}
 	}
-
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
 	return nil, false
 }
 
-// Put stores a deep clone of the artifact under key and, with a codec and
-// a Dir spill, writes its wire entry to disk. Spill write failures are
+// getMemory decodes the memory entry under key, if one of codec's kind and
+// version is held.
+func (c *Cache) getMemory(key string, codec *Codec) (Artifact, bool) {
+	c.mu.Lock()
+	e, ok := c.entries[key]
+	c.mu.Unlock()
+	if !ok || e.kind != codec.Kind || e.version != codec.Version {
+		return nil, false
+	}
+	// Decoding runs unlocked: the payload is never mutated, and the decoder
+	// aliases none of it, even if the entry is evicted meanwhile.
+	art, err := codec.Decode(e.payload)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.stats.Corrupt++
+		return nil, false
+	}
+	c.stats.Hits++
+	return art, true
+}
+
+// getTiers consults the tiers below memory in order and promotes the first
+// usable entry.
+func (c *Cache) getTiers(key string, codec *Codec) (Artifact, bool) {
+	// Tier fetches run unlocked: the disk read is cheap but a peer fetch is
+	// a network round trip, and two goroutines racing the same key simply
+	// promote identical content.
+	for _, tier := range c.tiers {
+		data, err := tier.Fetch(key)
+		if err != nil {
+			continue // nothing at this tier
+		}
+		art, payload, err := decodeEntry(data, codec)
+		if err != nil {
+			if isCorrupt(err) {
+				c.mu.Lock()
+				c.stats.Corrupt++
+				c.mu.Unlock()
+			}
+			continue // corrupt or version-skewed: a miss at this tier
+		}
+		fromDisk := tier == c.disk
+		if !fromDisk && c.disk != nil {
+			// Fill the spill so the next process start stops there.
+			_ = c.disk.Store(key, data)
+		}
+		c.mu.Lock()
+		if e := (memEntry{payload: payload, kind: codec.Kind, version: codec.Version}); c.fits(e.size()) {
+			c.insertLocked(key, e)
+		}
+		if fromDisk {
+			c.stats.DiskHits++
+		} else {
+			c.stats.PeerHits++
+		}
+		c.mu.Unlock()
+		return art, true
+	}
+	return nil, false
+}
+
+// Put encodes the artifact once with codec, holds the payload in memory
+// and, with a Dir spill, writes its wire entry to disk. The caller may
+// mutate the artifact as soon as Put returns. A nil codec, or an artifact
+// the codec cannot encode, stores nothing. Spill write failures are
 // swallowed: the memory entry is already in place and the spill is an
 // optimization, not a durability promise.
 func (c *Cache) Put(key string, art Artifact, codec *Codec) {
-	size := art.ApproxBytes()
-	var clone Artifact
-	if c.fits(size) {
-		// An artifact the budget will refuse anyway is never cloned — at
-		// production scale that skips a deep netlist copy per stage.
-		clone = art.CloneArtifact()
+	if codec == nil {
+		return
 	}
+	payload, err := codec.Encode(art)
+	if err != nil {
+		return
+	}
+	e := memEntry{payload: payload, kind: codec.Kind, version: codec.Version}
 	c.mu.Lock()
-	if clone != nil {
-		c.insertLocked(key, memEntry{art: clone, codec: codec, size: size})
+	if c.fits(e.size()) {
+		c.insertLocked(key, e)
 	}
 	c.stats.Stores++
 	c.mu.Unlock()
 
 	// Only the local spill receives writes; remote tiers fill by fetching
 	// (a peer's artifact store is its own business).
-	if codec != nil && c.disk != nil {
-		// Encode from the caller's artifact directly: Put returns before the
-		// caller can mutate it again, and the bytes are the same as encoding
-		// the clone would produce.
-		if entry, err := EncodeEntry(art, codec); err == nil {
-			_ = c.disk.Store(key, entry)
-		}
+	if c.disk != nil {
+		_ = c.disk.Store(key, frameEntry(e))
 	}
 }
 
 // EntryBytes returns the serialized wire entry for key so a fleet node can
-// serve its cache to peers: a memory entry encoded on demand with the codec
-// it was stored under, else the disk spill, never the network tiers (so
-// peer-to-peer lookups cannot loop). The key comes off the network, so only
-// lowercase hex, the alphabet of a plan Fingerprint, can name a spill file.
+// serve its cache to peers: a memory payload framed on demand, else the
+// disk spill, never the network tiers (so peer-to-peer lookups cannot
+// loop). The key comes off the network, so only lowercase hex, the
+// alphabet of a plan Fingerprint, can name a spill file.
 func (c *Cache) EntryBytes(key string) ([]byte, bool) {
 	if key == "" || strings.Trim(key, "0123456789abcdef") != "" {
 		return nil, false
@@ -434,12 +459,8 @@ func (c *Cache) EntryBytes(key string) ([]byte, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	c.mu.Unlock()
-	if ok && e.codec != nil {
-		// The clone is never mutated once held, so encoding it unlocked
-		// is safe even if it is evicted meanwhile.
-		if entry, err := EncodeEntry(e.art, e.codec); err == nil {
-			return entry, true
-		}
+	if ok {
+		return frameEntry(e), true
 	}
 	if c.disk != nil {
 		if data, err := c.disk.Fetch(key); err == nil {
@@ -470,30 +491,29 @@ func (c *Cache) Stats() Stats {
 var diskMagic = []byte("F3DC")
 
 // EncodeEntry serializes the artifact into the wire entry format shared by
-// every cache tier: the disk spill writes these bytes to a file, and the
-// fold3dd /v1/artifacts endpoint serves them to peers verbatim, so a
-// fetched artifact restores byte-identically no matter which tier provided
-// it.
+// every cache tier below memory: the disk spill writes these bytes to a
+// file, and the fold3dd /v1/artifacts endpoint serves them to peers
+// verbatim, so a fetched artifact restores byte-identically no matter which
+// tier provided it.
 func EncodeEntry(art Artifact, codec *Codec) ([]byte, error) {
 	payload, err := codec.Encode(art)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Write(diskMagic)
-	var n4 [4]byte
-	binary.LittleEndian.PutUint32(n4[:], uint32(SchemaVersion))
-	buf.Write(n4[:])
-	binary.LittleEndian.PutUint32(n4[:], uint32(codec.Version))
-	buf.Write(n4[:])
-	var n2 [2]byte
-	binary.LittleEndian.PutUint16(n2[:], uint16(len(codec.Kind)))
-	buf.Write(n2[:])
-	buf.WriteString(codec.Kind)
-	sum := sha256.Sum256(payload)
-	buf.Write(sum[:])
-	buf.Write(payload)
-	return buf.Bytes(), nil
+	return frameEntry(memEntry{payload: payload, kind: codec.Kind, version: codec.Version}), nil
+}
+
+// frameEntry wraps a payload in the wire entry header.
+func frameEntry(e memEntry) []byte {
+	sum := sha256.Sum256(e.payload)
+	out := make([]byte, 0, len(diskMagic)+4+4+2+len(e.kind)+len(sum)+len(e.payload))
+	out = append(out, diskMagic...)
+	out = binary.LittleEndian.AppendUint32(out, SchemaVersion)
+	out = binary.LittleEndian.AppendUint32(out, uint32(e.version))
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(e.kind)))
+	out = append(out, e.kind...)
+	out = append(out, sum[:]...)
+	return append(out, e.payload...)
 }
 
 // errVersionSkew distinguishes "entry from another schema/codec version"
@@ -502,44 +522,51 @@ var errVersionSkew = fmt.Errorf("pipeline: cache entry version skew")
 
 // DecodeEntry validates a wire entry (magic, schema and codec version,
 // kind, payload checksum) and decodes the artifact. Header or checksum
-// mismatches return an error wrapping errs.ErrCacheCorrupt; schema or
-// codec version skew returns a plain error (an expected miss). Callers
-// classify with errors.Is.
+// mismatches and payloads the codec rejects return an error wrapping
+// errs.ErrCacheCorrupt; schema or codec version skew returns a plain error
+// (an expected miss). Callers classify with errors.Is.
 func DecodeEntry(data []byte, codec *Codec) (Artifact, error) {
+	art, _, err := decodeEntry(data, codec)
+	return art, err
+}
+
+// decodeEntry is DecodeEntry that also returns the validated payload, a
+// subslice of data.
+func decodeEntry(data []byte, codec *Codec) (Artifact, []byte, error) {
 	corrupt := func(what string) error {
 		return fmt.Errorf("pipeline: cache entry: %s: %w", what, errs.ErrCacheCorrupt)
 	}
 	if len(data) < len(diskMagic)+4+4+2 {
-		return nil, corrupt("truncated header")
+		return nil, nil, corrupt("truncated header")
 	}
 	if !bytes.Equal(data[:4], diskMagic) {
-		return nil, corrupt("bad magic")
+		return nil, nil, corrupt("bad magic")
 	}
 	schema := binary.LittleEndian.Uint32(data[4:8])
 	cver := binary.LittleEndian.Uint32(data[8:12])
 	klen := int(binary.LittleEndian.Uint16(data[12:14]))
 	if len(data) < 14+klen+sha256.Size {
-		return nil, corrupt("truncated header")
+		return nil, nil, corrupt("truncated header")
 	}
 	kind := string(data[14 : 14+klen])
 	if schema != SchemaVersion || cver != uint32(codec.Version) {
-		return nil, errVersionSkew
+		return nil, nil, errVersionSkew
 	}
 	if kind != codec.Kind {
-		return nil, corrupt(fmt.Sprintf("codec kind %q, want %q", kind, codec.Kind))
+		return nil, nil, corrupt(fmt.Sprintf("codec kind %q, want %q", kind, codec.Kind))
 	}
 	sumOff := 14 + klen
 	payload := data[sumOff+sha256.Size:]
 	want := data[sumOff : sumOff+sha256.Size]
 	got := sha256.Sum256(payload)
 	if !bytes.Equal(got[:], want) {
-		return nil, corrupt("payload checksum mismatch")
+		return nil, nil, corrupt("payload checksum mismatch")
 	}
 	art, err := codec.Decode(payload)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: cache entry: decode: %v: %w", err, errs.ErrCacheCorrupt)
+		return nil, nil, fmt.Errorf("pipeline: cache entry: decode: %v: %w", err, errs.ErrCacheCorrupt)
 	}
-	return art, nil
+	return art, payload, nil
 }
 
 func isCorrupt(err error) bool { return errors.Is(err, errs.ErrCacheCorrupt) }

@@ -169,16 +169,16 @@ func (p *Plan) Fingerprint() Fingerprint {
 }
 
 // ArtifactSpec declares how a plan's output is captured into the cache and
-// restored from it. A nil spec (or a nil Executor cache) runs the plan
-// uncached.
+// restored from it. A nil spec, a spec without a Codec, or a nil Executor
+// cache runs the plan uncached.
 type ArtifactSpec struct {
-	// Codec serializes the artifact for the on-disk spill; nil keeps the
-	// artifact memory-only.
+	// Codec encodes the artifact for every cache tier, memory included.
 	Codec *Codec
 	// Capture builds the cacheable artifact after a successful cold run.
-	// The cache clones it on store, so Capture may return live state.
+	// The cache encodes it before Run returns, so Capture may return live
+	// state.
 	Capture func() (Artifact, error)
-	// Restore installs a cache hit. The artifact is a fresh clone owned by
+	// Restore installs a cache hit. The artifact is a fresh decode owned by
 	// the callee. A Restore error falls back to recomputation.
 	Restore func(Artifact) error
 }
@@ -191,13 +191,13 @@ type Executor struct {
 	Cache *Cache
 }
 
-// Run executes the plan. With a cache and spec, a hit restores the cached
-// artifact and runs nothing; a miss (or a failed restore) runs every stage
-// in registration order with a cancellation check between stages, then
-// captures and stores the artifact.
+// Run executes the plan. With a cache and a spec with a codec, a hit
+// restores the cached artifact and runs nothing; a miss (or a failed
+// restore) runs every stage in registration order with a cancellation check
+// between stages, then captures and stores the artifact.
 func (e *Executor) Run(ctx context.Context, p *Plan, spec *ArtifactSpec) error {
 	var key Fingerprint
-	cached := e.Cache != nil && spec != nil
+	cached := e.Cache != nil && spec != nil && spec.Codec != nil
 	if cached {
 		key = p.Fingerprint()
 		if art, ok := e.Cache.Get(string(key), spec.Codec); ok {

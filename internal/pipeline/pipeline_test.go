@@ -3,12 +3,12 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -18,34 +18,37 @@ import (
 	"fold3d/internal/pool"
 )
 
-// testArtifact is a minimal Artifact for cache tests. Its size is one
-// byte per value, so budget arithmetic reads off the literals; clones,
-// when set, counts CloneArtifact calls.
+// testArtifact is a minimal Artifact for cache tests.
 type testArtifact struct {
-	Vals   []int
-	clones *int
+	Vals []int
 }
 
-func (a *testArtifact) CloneArtifact() Artifact {
-	if a.clones != nil {
-		*a.clones++
-	}
-	return &testArtifact{Vals: append([]int(nil), a.Vals...)}
-}
-
-func (a *testArtifact) ApproxBytes() int64 { return int64(len(a.Vals)) }
-
+// testCodec encodes one byte per value, so a payload's length — what the
+// MaxBytes budget charges — reads off the literals.
 func testCodec() *Codec {
 	return &Codec{
 		Kind:    "test",
 		Version: 1,
-		Encode:  func(a Artifact) ([]byte, error) { return json.Marshal(a.(*testArtifact)) },
-		Decode: func(b []byte) (Artifact, error) {
-			var a testArtifact
-			if err := json.Unmarshal(b, &a); err != nil {
-				return nil, err
+		Encode: func(a Artifact) ([]byte, error) {
+			vals := a.(*testArtifact).Vals
+			out := make([]byte, len(vals))
+			for i, v := range vals {
+				if v < 0 || v > math.MaxUint8 {
+					return nil, fmt.Errorf("test codec: value %d is not a byte", v)
+				}
+				out[i] = byte(v)
 			}
-			return &a, nil
+			return out, nil
+		},
+		Decode: func(b []byte) (Artifact, error) {
+			a := &testArtifact{}
+			if len(b) > 0 {
+				a.Vals = make([]int, len(b))
+			}
+			for i, v := range b {
+				a.Vals[i] = int(v)
+			}
+			return a, nil
 		},
 	}
 }
@@ -182,6 +185,7 @@ func TestExecutorCacheHitSkipsStages(t *testing.T) {
 	cache := NewCache(CacheOptions{})
 	spec := func(out *testArtifact) *ArtifactSpec {
 		return &ArtifactSpec{
+			Codec:   testCodec(),
 			Capture: func() (Artifact, error) { return out, nil },
 			Restore: func(a Artifact) error { *out = *a.(*testArtifact); return nil },
 		}
@@ -234,6 +238,7 @@ func TestExecutorRestoreFailureRecomputes(t *testing.T) {
 	p := buildPlan("in", 0, nil)
 	ex := Executor{Cache: cache}
 	ok := &ArtifactSpec{
+		Codec:   testCodec(),
 		Capture: func() (Artifact, error) { return art, nil },
 		Restore: func(Artifact) error { return nil },
 	}
@@ -243,6 +248,7 @@ func TestExecutorRestoreFailureRecomputes(t *testing.T) {
 	var ran []string
 	p2 := buildPlan("in", 0, &ran)
 	bad := &ArtifactSpec{
+		Codec:   testCodec(),
 		Capture: func() (Artifact, error) { return art, nil },
 		Restore: func(Artifact) error { return errors.New("shape mismatch") },
 	}
@@ -385,16 +391,50 @@ func TestCacheVersionSkewIsMissNotCorrupt(t *testing.T) {
 
 func TestCacheMemoryOnlyWithoutDir(t *testing.T) {
 	c := NewCache(CacheOptions{})
-	c.Put("k", &testArtifact{Vals: []int{5}}, testCodec())
+	codec := testCodec()
+	c.Put("k", &testArtifact{Vals: []int{5}}, codec)
 	if n := c.Stats().Entries; n != 1 {
 		t.Fatalf("Entries = %d, want 1", n)
 	}
-	if _, ok := c.Get("missing", nil); ok {
+	if _, ok := c.Get("missing", codec); ok {
 		t.Fatal("phantom hit")
 	}
-	got, ok := c.Get("k", nil)
+	got, ok := c.Get("k", codec)
 	if !ok || got.(*testArtifact).Vals[0] != 5 {
 		t.Fatalf("memory get failed: %v %v", got, ok)
+	}
+}
+
+// TestCacheRequiresCodec pins the nil-codec contract: Put stores nothing,
+// Get misses even when an entry is held, and the executor runs a spec
+// without a codec uncached.
+func TestCacheRequiresCodec(t *testing.T) {
+	c := NewCache(CacheOptions{Dir: t.TempDir()})
+	c.Put("aa", &testArtifact{Vals: []int{1}}, nil)
+	if st := c.Stats(); st.Stores != 0 || st.Entries != 0 {
+		t.Fatalf("nil-codec Put stored: %+v", st)
+	}
+	c.Put("aa", &testArtifact{Vals: []int{1}}, testCodec())
+	if _, ok := c.Get("aa", nil); ok {
+		t.Fatal("nil-codec Get hit")
+	}
+	if _, ok := c.Get("aa", &Codec{Kind: "test", Version: 2, Decode: testCodec().Decode}); ok {
+		t.Fatal("Get decoded a memory entry of another codec version")
+	}
+
+	var ran []string
+	spec := &ArtifactSpec{
+		Capture: func() (Artifact, error) { return &testArtifact{}, nil },
+		Restore: func(Artifact) error { return nil },
+	}
+	ex := Executor{Cache: c}
+	for i := 0; i < 2; i++ {
+		if err := ex.Run(context.Background(), buildPlan("in", 0, &ran), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ran) != 6 {
+		t.Fatalf("codec-less spec ran %v; want every stage both times", ran)
 	}
 }
 
@@ -425,7 +465,7 @@ func TestCacheStatsSnapshotUnderLoad(t *testing.T) {
 	err := pool.Run(context.Background(), 8, n, func(_ context.Context, i int) error {
 		key := fmt.Sprintf("a%d", i%8)
 		c.Put(key, &testArtifact{Vals: []int{i}}, codec)
-		c.Get(key, nil)
+		c.Get(key, codec)
 		entry, ok := c.EntryBytes(key)
 		if !ok {
 			return fmt.Errorf("EntryBytes(%s) missed a held entry", key)
@@ -575,11 +615,6 @@ func TestCacheEntryBytes(t *testing.T) {
 	if err != nil || !slices.Equal(back.(*testArtifact).Vals, art.Vals) {
 		t.Fatalf("memory entry does not restore: %v %v", back, err)
 	}
-	// A memory entry stored without a codec has no wire form to serve.
-	mem.Put("dd44", art, nil)
-	if _, ok := mem.EntryBytes("dd44"); ok {
-		t.Fatal("EntryBytes served an entry stored without a codec")
-	}
 
 	// Disk spill: a fresh cache over the same directory serves the file.
 	dir := t.TempDir()
@@ -619,12 +654,12 @@ func TestCacheEntryBytes(t *testing.T) {
 	}
 }
 
-// TestCacheBudget pins the MaxBytes accounting (testArtifact sizes are
-// their value counts): FIFO eviction and its Evicted count, the entry just
+// TestCacheBudget pins the MaxBytes accounting (a testCodec payload is
+// one byte per value): FIFO eviction and its Evicted count, the entry just
 // inserted is never evicted, an overwrite keeps its FIFO age and
-// re-accounts its size, an artifact over the whole budget is neither
-// cloned nor held but spills and comes back as a disk hit, and EntryBytes
-// of an evicted key falls back to the spill.
+// re-accounts its size, a payload over the whole budget is not held but
+// spills and comes back as a disk hit, and EntryBytes of an evicted key
+// falls back to the spill.
 func TestCacheBudget(t *testing.T) {
 	codec := testCodec()
 	c := NewCache(CacheOptions{Dir: t.TempDir(), MaxBytes: 10})
@@ -633,16 +668,18 @@ func TestCacheBudget(t *testing.T) {
 		c.Put(key, art, codec)
 		return art
 	}
-	// check asserts the Evicted count and which keys memory holds (a
-	// nil-codec Get never leaves memory).
+	// check asserts the Evicted count and which keys memory holds (read
+	// straight from the map: a Get would promote from the spill).
 	check := func(step string, evicted int, want ...string) {
 		t.Helper()
 		var held []string
+		c.mu.Lock()
 		for _, k := range []string{"aaaa", "bbbb", "cccc", "dddd", "eeee", "ffff"} {
-			if _, ok := c.Get(k, nil); ok {
+			if _, ok := c.entries[k]; ok {
 				held = append(held, k)
 			}
 		}
+		c.mu.Unlock()
 		if st := c.Stats(); st.Evicted != evicted || st.Entries != len(want) || !slices.Equal(held, want) {
 			t.Fatalf("%s: evicted=%d entries=%d held=%v, want evicted=%d held=%v",
 				step, st.Evicted, st.Entries, held, evicted, want)
@@ -668,17 +705,12 @@ func TestCacheBudget(t *testing.T) {
 	// never itself.
 	put("cccc", 10)
 	check("inserted survives", 4, "cccc")
-	if got, _ := c.Get("cccc", nil); len(got.(*testArtifact).Vals) != 10 {
+	if got, _ := c.Get("cccc", codec); len(got.(*testArtifact).Vals) != 10 {
 		t.Fatalf("overwritten entry holds %v", got)
 	}
 
-	// Over the whole budget: not cloned, not held, but spilled.
-	clones := 0
-	big := &testArtifact{Vals: make([]int, 11), clones: &clones}
-	c.Put("ffff", big, codec)
-	if clones != 0 {
-		t.Fatalf("over-budget artifact cloned %d times", clones)
-	}
+	// Over the whole budget: not held, but spilled.
+	put("ffff", 11)
 	check("over budget", 4, "cccc")
 	if got, ok := c.Get("ffff", codec); !ok || len(got.(*testArtifact).Vals) != 11 {
 		t.Fatalf("over-budget artifact not served from the spill: %v %v", got, ok)
@@ -695,4 +727,44 @@ func TestCacheBudget(t *testing.T) {
 	if got, ok := c.EntryBytes("aaaa"); !ok || !bytes.Equal(got, want) {
 		t.Fatalf("evicted EntryBytes did not fall back to disk (ok=%v)", ok)
 	}
+}
+
+// FuzzDecodeEntry feeds arbitrary bytes to the wire entry decoder, seeded
+// with real entries and their truncations and single-bit flips. It must
+// never panic: an input either fails, or decodes to an artifact whose
+// re-encoding decodes to an equal artifact.
+func FuzzDecodeEntry(f *testing.F) {
+	codec := testCodec()
+	for _, vals := range [][]int{nil, {7}, {1, 2, 3, 250}} {
+		entry, err := EncodeEntry(&testArtifact{Vals: vals}, codec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(entry)
+		for _, n := range []int{0, 3, 14, 20, len(entry) - 1} {
+			f.Add(entry[:n])
+		}
+		for bit := 0; bit < 8*len(entry); bit += 5 {
+			flipped := slices.Clone(entry)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		art, err := DecodeEntry(data, codec)
+		if err != nil {
+			return
+		}
+		again, err := EncodeEntry(art, codec)
+		if err != nil {
+			t.Fatalf("decoded artifact does not re-encode: %v", err)
+		}
+		back, err := DecodeEntry(again, codec)
+		if err != nil {
+			t.Fatalf("re-encoded entry does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(art, back) {
+			t.Fatalf("round trip changed the artifact: %v -> %v", art, back)
+		}
+	})
 }

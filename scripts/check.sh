@@ -21,6 +21,12 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+# The benchmark harness is its own module, so ./... above skips it; vet and
+# test it here so an API change that breaks it fails this gate, not the
+# benchmark run.
+echo "==> fold3dbench module: go vet + go test"
+(cd cmd/fold3dbench && go vet ./... && go test ./...)
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -64,12 +70,22 @@ go test -race -cpu=4 -count=2 ./internal/place/analytical/
 # matrix already ran under -race above (go test -race ./...); re-run the
 # heaviest style with extra CPUs so the shared cache sees more goroutine
 # interleavings, plus the disk-spill, cross-style reuse and fold-artifact
-# properties. The cache itself (tiers, budget, peer serving) runs whole.
+# properties, the block and fold codecs and the aliasing guarantees the
+# shared held payloads rely on. The cache itself (tiers, budget, peer
+# serving) runs whole.
 echo "==> go test -race -cpu=4 (artifact-cache equivalence)"
 go test -race -cpu=4 \
-	-run 'TestCacheEquivalence/fold-F2F|TestCacheDiskEquivalence|TestCacheCrossStyleReuse|TestFoldCache' \
+	-run 'TestCacheEquivalence/fold-F2F|TestCacheDiskEquivalence|TestCacheCrossStyleReuse|TestFoldCache|TestCacheAliasing|Codec' \
 	./internal/flow/
 go test -race -cpu=4 ./internal/pipeline/
+
+# Every decoder that bytes from disk or a peer can reach gets a bounded
+# fuzzing pass beyond its seed corpus: the wire entry framing and the block
+# and fold payloads must fail cleanly on any input, never panic.
+echo "==> go test -fuzz (cache entry, block and fold codecs, 10s each)"
+go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 10s ./internal/pipeline/
+go test -run '^$' -fuzz '^FuzzBlockCodec$' -fuzztime 10s ./internal/flow/
+go test -run '^$' -fuzz '^FuzzFoldCodec$' -fuzztime 10s ./internal/flow/
 
 # The fold3dd server is the one sanctioned home of long-lived goroutines
 # (scheduler workers, accept loop); re-run its suites under the race
