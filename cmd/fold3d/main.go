@@ -164,11 +164,6 @@ func run() int {
 			continue
 		}
 		fmt.Println(strings.TrimRight(r.Report, "\n"))
-		if r.Volatile != "" {
-			// Stderr, like -progress: stdout stays byte-identical across
-			// runs and worker counts, wall-clock annotations do not.
-			fmt.Fprintln(os.Stderr, strings.TrimRight(r.Volatile, "\n"))
-		}
 		fmt.Printf("[%s]\n\n", r.Name)
 		if *svgdir != "" && len(r.Files) > 0 {
 			if werr := writeFiles(*svgdir, r.Files); werr != nil {

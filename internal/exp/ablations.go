@@ -139,16 +139,11 @@ func AblationDualVth(ctx context.Context, cfg Config) (*DualVthResult, error) {
 	for _, st := range []t2.Style{t2.Style2D, t2.StyleFoldF2F} {
 		row := DualVthRow{Style: st}
 		for _, hvt := range []bool{false, true} {
-			d, err := t2.Generate(cfg.t2cfg())
+			v := cfg.variant(st)
+			v.UseHVT = hvt
+			r, err := cfg.chip(ctx, v)
 			if err != nil {
-				return nil, err
-			}
-			fcfg := cfg.flowCfg()
-			fcfg.UseHVT = hvt
-			fl := flow.New(d, fcfg)
-			r, err := fl.BuildChipContext(ctx, st)
-			if err != nil {
-				return nil, fmt.Errorf("exp: dualvth %s: %v", st, err)
+				return nil, fmt.Errorf("exp: dualvth %s: %w", st, err)
 			}
 			if hvt {
 				row.DVTPowerW = r.Power.TotalMW / 1e3

@@ -41,14 +41,19 @@ type Config struct {
 	Placer string
 	// Progress, when non-nil, receives live flow status events. Callbacks
 	// are serialized but their order is scheduler-dependent; results are
-	// unaffected.
+	// unaffected. Under RunAll a chip reports its build once, to the
+	// generator that built it; a generator served from the chip memo sees
+	// no events for that chip.
 	Progress func(flow.Progress)
 	// Cache, when non-nil, is the shared block-artifact cache handed to
-	// every flow the experiments run, so identical block implementations —
-	// the same style rebuilt by another experiment, or a style-invariant
-	// block — are computed once and restored byte-identically thereafter.
-	// RunAll fills this with a fresh in-memory cache when nil; set it
-	// explicitly to share across RunAll calls or to enable the disk spill.
+	// every flow the experiments run, so identical block work — a block
+	// whose implementation agrees across styles, a fold shared by both
+	// bondings and placers, or any block of an earlier run — is computed
+	// once and restored byte-identically thereafter. A chip asked for
+	// twice in one RunAll never reaches the cache the second time: the
+	// run's chip memo serves it. RunAll fills this with a fresh in-memory
+	// cache when nil; set it explicitly to share across RunAll calls or to
+	// enable the disk spill.
 	Cache *pipeline.Cache
 	// Thermal is the in-loop thermal planning configuration handed to every
 	// flow the experiments run (flow.Config.Thermal), and the knob set the
@@ -57,6 +62,10 @@ type Config struct {
 	// thermal stage and keeps every fingerprint byte-identical to a
 	// thermal-unaware run.
 	Thermal flow.ThermalConfig
+
+	// memo is the chip memo of the RunAll this generator runs under; nil
+	// outside RunAll, where every chip is built directly.
+	memo *chipMemo
 }
 
 // DefaultCacheBudget is the in-memory artifact-cache bound (bytes) RunAll
@@ -117,15 +126,21 @@ func ValidateNames(names []string) error {
 // parallelism and progress settings.
 func (c Config) flowCfg() flow.Config {
 	fc := flow.DefaultConfig()
-	fc.Placer = c.Placer
-	if fc.Placer == "" {
-		fc.Placer = place.DefaultBackend
-	}
+	fc.Placer = c.placer()
 	fc.Workers = c.Workers
 	fc.Progress = c.Progress
 	fc.Cache = c.Cache
 	fc.Thermal = c.Thermal
 	return fc
+}
+
+// placer returns the placement backend name, resolving empty to the
+// default backend.
+func (c Config) placer() string {
+	if c.Placer == "" {
+		return place.DefaultBackend
+	}
+	return c.Placer
 }
 
 func (c Config) t2cfg(only ...string) t2.Config {
@@ -297,14 +312,9 @@ func Table2(ctx context.Context, cfg Config) (*Table, error) {
 	styles := []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleCoreCore}
 	var rs []*flow.ChipResult
 	for _, st := range styles {
-		d, err := t2.Generate(cfg.t2cfg())
+		r, err := cfg.chip(ctx, cfg.variant(st))
 		if err != nil {
-			return nil, err
-		}
-		fl := flow.New(d, cfg.flowCfg())
-		r, err := fl.BuildChipContext(ctx, st)
-		if err != nil {
-			return nil, fmt.Errorf("exp: table2 %s: %v", st, err)
+			return nil, fmt.Errorf("exp: table2 %s: %w", st, err)
 		}
 		rs = append(rs, r)
 	}
@@ -329,14 +339,13 @@ type Table3Row struct {
 // Table3 reproduces the folding-candidate selection profile (paper Table 3)
 // from the implemented 2D design, and runs the §4.1 criteria over it.
 func Table3(ctx context.Context, cfg Config) ([]Table3Row, string, error) {
-	d, err := t2.Generate(cfg.t2cfg())
+	r, err := cfg.chip(ctx, cfg.variant(t2.Style2D))
 	if err != nil {
-		return nil, "", err
+		return nil, "", fmt.Errorf("exp: table3: %w", err)
 	}
-	fl := flow.New(d, cfg.flowCfg())
-	r, err := fl.BuildChipContext(ctx, t2.Style2D)
-	if err != nil {
-		return nil, "", err
+	clockOf := make(map[string]tech.ClockDomain, len(r.Blocks))
+	for _, spec := range t2.Blocks() {
+		clockOf[spec.Name] = spec.Clock
 	}
 
 	// One profile per block type (averaging copies like the paper).
@@ -368,7 +377,7 @@ func Table3(ctx context.Context, cfg Config) ([]Table3Row, string, error) {
 		ty := typeOf(name)
 		a := byType[ty]
 		if a == nil {
-			a = &acc{clock: d.Specs[name].Clock}
+			a = &acc{clock: clockOf[name]}
 			byType[ty] = a
 		}
 		a.total += br.Power.TotalMW
@@ -501,16 +510,11 @@ func Table5(ctx context.Context, cfg Config) (*Table, error) {
 	styles := []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleFoldF2F}
 	var rs []*flow.ChipResult
 	for _, st := range styles {
-		d, err := t2.Generate(cfg.t2cfg())
+		v := cfg.variant(st)
+		v.UseHVT = true
+		r, err := cfg.chip(ctx, v)
 		if err != nil {
-			return nil, err
-		}
-		fcfg := cfg.flowCfg()
-		fcfg.UseHVT = true
-		fl := flow.New(d, fcfg)
-		r, err := fl.BuildChipContext(ctx, st)
-		if err != nil {
-			return nil, fmt.Errorf("exp: table5 %s: %v", st, err)
+			return nil, fmt.Errorf("exp: table5 %s: %w", st, err)
 		}
 		rs = append(rs, r)
 	}

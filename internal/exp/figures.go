@@ -370,12 +370,7 @@ type Figure8Result struct {
 func Figure8(ctx context.Context, cfg Config) (*Figure8Result, error) {
 	res := &Figure8Result{SVGs: map[string]string{}}
 	for _, st := range []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleCoreCore, t2.StyleFoldF2B, t2.StyleFoldF2F} {
-		d, err := t2.Generate(cfg.t2cfg())
-		if err != nil {
-			return nil, err
-		}
-		fl := flow.New(d, cfg.flowCfg())
-		r, err := fl.BuildChipContext(ctx, st)
+		r, err := cfg.chip(ctx, cfg.variant(st))
 		if err != nil {
 			return nil, fmt.Errorf("exp: figure8 %s: %w", st, err)
 		}

@@ -3,11 +3,8 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
-	"fold3d/internal/flow"
 	"fold3d/internal/place"
 	"fold3d/internal/t2"
 )
@@ -32,14 +29,9 @@ type HeadToHeadRow struct {
 }
 
 // HeadToHeadResult is the standardized backend comparison: every registered
-// placement backend over all five bonding styles, one row per pair. Rows is
-// deterministic (and part of the result fingerprint); Elapsed carries the
-// wall-clock of each run and is reported only through the volatile channel.
+// placement backend over all five bonding styles, one row per pair.
 type HeadToHeadResult struct {
 	Rows []HeadToHeadRow
-	// Elapsed holds one wall-clock duration per row, same order as Rows.
-	// It never participates in fingerprints.
-	Elapsed []time.Duration
 }
 
 // headToHeadStyles is the full style axis of the comparison — the paper's
@@ -60,25 +52,14 @@ func HeadToHead(ctx context.Context, cfg Config) (*HeadToHeadResult, error) {
 	ref := make(map[t2.Style]float64, len(headToHeadStyles))
 	for _, backend := range backends {
 		for _, style := range headToHeadStyles {
-			d, err := t2.Generate(cfg.t2cfg())
+			r, err := cfg.chip(ctx, chipVariant{Style: style, Placer: backend})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("exp: headtohead %s/%s: %w", style, backend, err)
 			}
-			fcfg := cfg.flowCfg()
-			fcfg.Placer = backend
-			fl := flow.New(d, fcfg)
-			//lint:ignore determinism wall-clock here feeds only the volatile Elapsed channel, which is printed but excluded from every result fingerprint
-			t0 := time.Now()
-			r, err := fl.BuildChipContext(ctx, style)
-			if err != nil {
-				return nil, fmt.Errorf("exp: headtohead %s/%s: %v", style, backend, err)
-			}
-			//lint:ignore determinism wall-clock here feeds only the volatile Elapsed channel, which is printed but excluded from every result fingerprint
-			elapsed := time.Since(t0)
 			row := HeadToHeadRow{
 				Style:   style,
 				Backend: backend,
-				HPWLm:   chipHPWLm(r),
+				HPWLm:   r.Stats.HPWLUm / 1e6,
 				Vias3D:  r.Stats.ViasPaperEquiv,
 				PowerW:  r.Power.TotalMW / 1e3,
 			}
@@ -88,27 +69,9 @@ func HeadToHead(ctx context.Context, cfg Config) (*HeadToHeadResult, error) {
 				row.PowerDeltaPct = pct(row.PowerW, ref[style])
 			}
 			res.Rows = append(res.Rows, row)
-			res.Elapsed = append(res.Elapsed, elapsed)
 		}
 	}
-	//lint:ignore nondetflow Elapsed is display-only wall-clock that feeds the volatile channel, which is excluded from every result fingerprint
 	return res, nil
-}
-
-// chipHPWLm sums the per-block signal-net HPWL in sorted block-name order
-// (float accumulation order must not depend on map iteration) and converts
-// to meters.
-func chipHPWLm(r *flow.ChipResult) float64 {
-	names := make([]string, 0, len(r.Blocks))
-	for name := range r.Blocks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var um float64
-	for _, name := range names {
-		um += place.HPWL(r.Blocks[name].Block)
-	}
-	return um / 1e6
 }
 
 // String renders the deterministic comparison table.
@@ -125,17 +88,5 @@ func (r *HeadToHeadResult) String() string {
 			row.Style, row.Backend, row.HPWLm, row.Vias3D, row.PowerW, delta)
 	}
 	sb.WriteString("note: backends share the legalizer and supply map; HPWL is the placement objective, power the paper's metric\n")
-	return sb.String()
-}
-
-// VolatileString renders the wall-clock lines of the comparison — display
-// data only, excluded from result fingerprints by construction (it rides
-// the Result.Volatile channel).
-func (r *HeadToHeadResult) VolatileString() string {
-	var sb strings.Builder
-	sb.WriteString("wall-clock per run (volatile, excluded from fingerprints):\n")
-	for i, row := range r.Rows {
-		fmt.Fprintf(&sb, "  %-12s %-12s %s\n", row.Style, row.Backend, r.Elapsed[i].Round(time.Millisecond))
-	}
 	return sb.String()
 }

@@ -18,11 +18,6 @@ type Result struct {
 	Name   string
 	Report string
 	Files  map[string]string
-	// Volatile holds display-only annotations (wall-clock timings and the
-	// like) that are printed alongside the report but excluded from every
-	// result fingerprint: two runs that differ only in Volatile are the
-	// same run.
-	Volatile string
 }
 
 // Generator is one registered experiment: a table, figure, or ablation.
@@ -199,7 +194,7 @@ var generators = []Generator{
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Report: r.String(), Volatile: r.VolatileString()}, nil
+		return &Result{Report: r.String()}, nil
 	}},
 }
 
@@ -254,11 +249,15 @@ func RunAll(ctx context.Context, cfg Config, names []string, onDone func(*Result
 			gens = append(gens, g)
 		}
 	}
-	// One artifact cache across every generator: the tables and figures
-	// re-implement the same chips under the same styles over and over
-	// (table2's 2D chip is fig8's 2D chip, table3 and table5 rebuild all
-	// five styles), so sharing turns those rebuilds into cache restores.
-	// Callers wanting cross-RunAll sharing or the disk spill pass their own.
+	// The tables and figures ask for the same chips over and over
+	// (table2's 2D chip is table3's, fig8's, thermal's and headtohead's),
+	// so one chip memo serves the whole run: each distinct chip is built
+	// once, by whichever generator asks first. Below it, one artifact
+	// cache shares block work between distinct chips (a block implemented
+	// alike in two styles, a fold both bondings use). Callers wanting
+	// cross-RunAll sharing or the disk spill pass their own cache; chips
+	// are never shared across runs.
+	cfg.memo = newChipMemo()
 	if cfg.Cache == nil {
 		cfg.Cache = pipeline.NewCache(pipeline.CacheOptions{MaxBytes: DefaultCacheBudget})
 	}

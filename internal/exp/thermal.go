@@ -106,12 +106,7 @@ func ThermalStudy(ctx context.Context, cfg Config) (*ThermalResult, error) {
 	eng := thermal.NewEngine()
 	styles := []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleCoreCore, t2.StyleFoldF2B, t2.StyleFoldF2F}
 	for _, st := range styles {
-		d, err := t2.Generate(cfg.t2cfg())
-		if err != nil {
-			return nil, err
-		}
-		fl := flow.New(d, cfg.flowCfg())
-		r, err := fl.BuildChipContext(ctx, st)
+		r, err := cfg.chip(ctx, cfg.variant(st))
 		if err != nil {
 			return nil, fmt.Errorf("exp: thermal %s: %w", st, err)
 		}

@@ -44,6 +44,9 @@ type ChipStats struct {
 	// ChipRepeaters is the drawn-equivalent repeater count on inter-block
 	// nets.
 	ChipRepeaters int
+	// HPWLUm is the summed half-perimeter wirelength of every block's
+	// signal nets (drawn µm): the placement objective, without chip nets.
+	HPWLUm float64
 }
 
 // ChipResult is one full-chip implementation.
@@ -274,9 +277,7 @@ func (st *chipState) stageImplement(ctx context.Context) error {
 
 // stageChipNets computes chip-level net lengths, power and repeaters.
 func (st *chipState) stageChipNets(ctx context.Context) error {
-	if err := st.f.extractChipNets(st.res, st.style); err != nil {
-		return err
-	}
+	st.f.extractChipNets(st.res)
 	st.f.progress(StageChipNets, "", 1, 1)
 	return nil
 }
@@ -435,7 +436,7 @@ func (f *Flow) budgetPorts(chipNets []floorplan.ChipNet) {
 
 // extractChipNets computes the real-equivalent power of the inter-block
 // nets and their repeater population from the routed geometry.
-func (f *Flow) extractChipNets(res *ChipResult, style t2.Style) error {
+func (f *Flow) extractChipNets(res *ChipResult) {
 	d := f.D
 	ps := d.PortScale() // physical wires per drawn wire
 	buf := d.Lib.MustCell(tech.BUF, 8, tech.RVT)
@@ -469,8 +470,6 @@ func (f *Flow) extractChipNets(res *ChipResult, style t2.Style) error {
 	netP.TotalMW = netP.CellMW + netP.NetMW + netP.LeakageMW
 	res.ChipNetPower = netP
 	res.Stats.ChipRepeaters = int(totalRepeaters)
-	_ = style
-	return nil
 }
 
 // aggregate fills the chip-level stats and power totals.
@@ -490,9 +489,9 @@ func (f *Flow) aggregate(res *ChipResult) {
 		s.WirelengthUm += br.Stats.Wirelength
 		s.NumCells += br.Stats.NumCells
 		s.NumBuffers += br.Stats.NumBuffers
-		rvt, hvt := netlist.CountVth(br.Block)
-		_ = rvt
+		_, hvt := netlist.CountVth(br.Block)
 		s.NumHVT += hvt
+		s.HPWLUm += place.HPWL(br.Block)
 		s.ViasIntraDrawn += br.Stats.NumTSV + br.Stats.NumF2F
 		res.Power.Add(br.Power)
 	}

@@ -399,12 +399,6 @@ func (f *Flow) repeaterBudgetPerDie(b *netlist.Block) [2]float64 {
 	return out
 }
 
-// Profile converts a block result into the folding-criteria profile
-// (core.BlockProfile) with the given copy count.
-func (r *BlockResult) Profile(copies int) (name string, totalMW, netMW float64, longWires int) {
-	return r.Block.Name, r.Power.TotalMW, r.Power.NetMW, r.Stats.NumLongWire
-}
-
 // VthOf exposes the library flavor used by the flow for reports.
 func (f *Flow) VthOf() tech.VthClass {
 	if f.Cfg.UseHVT {

@@ -233,10 +233,6 @@ type ExperimentResult struct {
 	Report string `json:"report"`
 	// Files holds artifact files (SVGs, netlist dumps) by basename.
 	Files map[string]string `json:"files,omitempty"`
-	// Volatile holds display-only annotations (wall-clock timings). It is
-	// excluded from the result fingerprint: two jobs differing only in
-	// Volatile are byte-identical work.
-	Volatile string `json:"volatile,omitempty"`
 }
 
 // Result is a completed job's output. Fingerprint is a content hash over
@@ -711,10 +707,9 @@ func (m *Manager) runJob(j *Job) {
 		result = &Result{Fingerprint: fingerprintResults(results)}
 		for _, r := range results {
 			result.Experiments = append(result.Experiments, ExperimentResult{
-				Name:     r.Name,
-				Report:   r.Report,
-				Files:    r.Files,
-				Volatile: r.Volatile,
+				Name:   r.Name,
+				Report: r.Report,
+				Files:  r.Files,
 			})
 		}
 	}

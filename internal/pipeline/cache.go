@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -15,6 +16,7 @@ import (
 	"sync"
 
 	"fold3d/internal/errs"
+	"fold3d/internal/pool"
 )
 
 // Fingerprint is a hex-encoded SHA-256 content hash. Equal fingerprints mean
@@ -282,6 +284,9 @@ type Cache struct {
 	order   []string // insertion order, oldest first (FIFO eviction)
 	total   int64    // sum of payload lengths
 	stats   Stats
+	// inflight maps each key an Executor.Run is computing to a channel
+	// closed when that run releases it (see acquire).
+	inflight map[string]chan struct{}
 }
 
 // memEntry is one artifact held in memory: its codec payload, never
@@ -296,7 +301,7 @@ func (e memEntry) size() int64 { return int64(len(e.payload)) }
 
 // NewCache returns an empty cache.
 func NewCache(opts CacheOptions) *Cache {
-	c := &Cache{maxBytes: opts.MaxBytes, entries: map[string]memEntry{}}
+	c := &Cache{maxBytes: opts.MaxBytes, entries: map[string]memEntry{}, inflight: map[string]chan struct{}{}}
 	if opts.Dir != "" {
 		c.disk = NewDiskTier(opts.Dir)
 		c.tiers = append(c.tiers, c.disk)
@@ -343,17 +348,77 @@ func (c *Cache) insertLocked(key string, e memEntry) {
 // hit below the disk spill is written into it.
 func (c *Cache) Get(key string, codec *Codec) (Artifact, bool) {
 	if codec != nil {
-		if art, ok := c.getMemory(key, codec); ok {
-			return art, true
-		}
-		if art, ok := c.getTiers(key, codec); ok {
+		if art, ok := c.lookup(key, codec); ok {
 			return art, true
 		}
 	}
-	c.mu.Lock()
-	c.stats.Misses++
-	c.mu.Unlock()
+	c.countMiss()
 	return nil, false
+}
+
+// lookup is Get without counting a miss.
+func (c *Cache) lookup(key string, codec *Codec) (Artifact, bool) {
+	if art, ok := c.getMemory(key, codec); ok {
+		return art, true
+	}
+	return c.getTiers(key, codec)
+}
+
+func (c *Cache) countMiss() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.Misses++
+}
+
+// acquire is Get with single-flight. It returns key's artifact, or makes
+// the caller the key's owner: the one caller computing it, which Puts the
+// artifact (or fails) and then calls release. While another caller owns
+// the key, acquire waits for that release and looks again, so concurrent
+// runs of one plan compute it once and count one miss. An owner that fails
+// or is canceled releases without a Put, and a waiter takes over. A waiter
+// whose own context dies returns errs.ErrCanceled.
+func (c *Cache) acquire(ctx context.Context, key string, codec *Codec) (Artifact, bool, error) {
+	for {
+		if art, ok := c.lookup(key, codec); ok {
+			return art, true, nil
+		}
+		wait := c.claim(key)
+		if wait == nil {
+			// An owner that released between the lookup and the claim has
+			// already put its artifact; look in memory once more.
+			if art, ok := c.getMemory(key, codec); ok {
+				c.release(key)
+				return art, true, nil
+			}
+			c.countMiss()
+			return nil, false, nil
+		}
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return nil, false, pool.Canceled(ctx)
+		}
+	}
+}
+
+// claim makes the caller key's owner and returns nil, or returns the
+// channel that the current owner's release closes.
+func (c *Cache) claim(key string) <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if wait, ok := c.inflight[key]; ok {
+		return wait
+	}
+	c.inflight[key] = make(chan struct{})
+	return nil
+}
+
+// release ends the caller's ownership of key and wakes its waiters.
+func (c *Cache) release(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	close(c.inflight[key])
+	delete(c.inflight, key)
 }
 
 // getMemory decodes the memory entry under key, if one of codec's kind and

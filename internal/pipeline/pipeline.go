@@ -195,19 +195,28 @@ type Executor struct {
 // restores the cached artifact and runs nothing; a miss (or a failed
 // restore) runs every stage in registration order with a cancellation check
 // between stages, then captures and stores the artifact.
+//
+// Misses are single-flight per fingerprint: while one Run computes a plan,
+// a concurrent Run of an equal plan waits for it and then restores its
+// artifact (see Cache.acquire). This cannot deadlock, because no cached
+// plan runs another cached plan: an owner's stages never wait on a claim.
 func (e *Executor) Run(ctx context.Context, p *Plan, spec *ArtifactSpec) error {
-	var key Fingerprint
+	var key string
 	cached := e.Cache != nil && spec != nil && spec.Codec != nil
 	if cached {
-		key = p.Fingerprint()
-		if art, ok := e.Cache.Get(string(key), spec.Codec); ok {
-			if err := spec.Restore(art); err == nil {
-				return nil
-			}
-			// A restore failure means the artifact (or its decode) does not
-			// fit this plan; recompute. The cold path below overwrites the
-			// entry with a freshly captured artifact.
+		key = string(p.Fingerprint())
+		art, hit, err := e.Cache.acquire(ctx, key, spec.Codec)
+		if err != nil {
+			return err
 		}
+		if !hit {
+			defer e.Cache.release(key)
+		} else if err := spec.Restore(art); err == nil {
+			return nil
+		}
+		// A restore failure means the artifact (or its decode) does not
+		// fit this plan; recompute without owning the key. The cold path
+		// below overwrites the entry with a freshly captured artifact.
 	}
 	for i := range p.stages {
 		if err := pool.Canceled(ctx); err != nil {
@@ -222,7 +231,7 @@ func (e *Executor) Run(ctx context.Context, p *Plan, spec *ArtifactSpec) error {
 		if err != nil {
 			return fmt.Errorf("pipeline: plan %s: capturing artifact: %w", p.Name, err)
 		}
-		e.Cache.Put(string(key), art, spec.Codec)
+		e.Cache.Put(key, art, spec.Codec)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fold3d/internal/errs"
 	"fold3d/internal/pool"
@@ -257,6 +258,121 @@ func TestExecutorRestoreFailureRecomputes(t *testing.T) {
 	}
 	if len(ran) != 3 {
 		t.Fatalf("restore failure should recompute all stages, ran %v", ran)
+	}
+}
+
+// TestExecutorSingleFlight runs one plan from many goroutines against one
+// cache: its stages run once, the cache counts one miss and one store, and
+// every other Run waits for the owner and restores its artifact.
+func TestExecutorSingleFlight(t *testing.T) {
+	const n = 8
+	cache := NewCache(CacheOptions{})
+	ex := Executor{Cache: cache}
+	var started sync.WaitGroup
+	started.Add(n)
+	var mu sync.Mutex
+	runs := 0
+	outs := make([]*testArtifact, n)
+	err := pool.Run(context.Background(), n, n, func(ctx context.Context, i int) error {
+		out := &testArtifact{}
+		outs[i] = out
+		p := buildPlan("in", 0, nil)
+		p.stages[0].Run = func(context.Context) error {
+			mu.Lock()
+			runs++
+			mu.Unlock()
+			// Hold the key until every caller has started, so the others
+			// meet it in flight instead of finding it stored.
+			started.Wait()
+			out.Vals = []int{42}
+			return nil
+		}
+		spec := &ArtifactSpec{
+			Codec:   testCodec(),
+			Capture: func() (Artifact, error) { return out, nil },
+			Restore: func(a Artifact) error { *out = *a.(*testArtifact); return nil },
+		}
+		started.Done()
+		return ex.Run(ctx, p, spec)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != 1 {
+		t.Fatalf("stages ran %d times, want once", runs)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Stores != 1 || st.Hits != n-1 {
+		t.Fatalf("stats = %+v, want 1 miss, 1 store, %d hits", st, n-1)
+	}
+	for i, out := range outs {
+		if !slices.Equal(out.Vals, []int{42}) {
+			t.Errorf("run %d got %v, want [42]", i, out.Vals)
+		}
+	}
+}
+
+// TestExecutorSingleFlightHandoff pins the failure paths of single-flight:
+// a waiter whose own context is done gives up without running anything,
+// and an owner that is canceled releases its key without storing, so the
+// waiter computes the plan itself.
+func TestExecutorSingleFlightHandoff(t *testing.T) {
+	cache := NewCache(CacheOptions{})
+	ex := Executor{Cache: cache}
+	run := func(ctx context.Context, stage func(context.Context) error, ran *[]string, out *testArtifact) error {
+		p := buildPlan("in", 0, ran)
+		if stage != nil {
+			p.stages[0].Run = stage
+		}
+		spec := &ArtifactSpec{
+			Codec:   testCodec(),
+			Capture: func() (Artifact, error) { return out, nil },
+			Restore: func(a Artifact) error { *out = *a.(*testArtifact); return nil },
+		}
+		return ex.Run(ctx, p, spec)
+	}
+	ownerCtx, cancelOwner := context.WithCancel(context.Background())
+	defer cancelOwner()
+	claimed := make(chan struct{})
+	var ownerErr, waiterErr error
+	var waiterRan []string
+	err := pool.Run(context.Background(), 2, 2, func(_ context.Context, i int) error {
+		if i == 0 {
+			ownerErr = run(ownerCtx, func(ctx context.Context) error {
+				close(claimed)
+				<-ctx.Done()
+				return ctx.Err()
+			}, nil, &testArtifact{Vals: []int{1}})
+			return nil
+		}
+		<-claimed
+		gone, cancel := context.WithCancel(context.Background())
+		cancel()
+		var ran []string
+		if err := run(gone, nil, &ran, &testArtifact{Vals: []int{2}}); !errors.Is(err, errs.ErrCanceled) || len(ran) != 0 {
+			return fmt.Errorf("canceled waiter: err = %v, ran %v; want ErrCanceled and nothing run", err, ran)
+		}
+		// Cancel the owner once the waiter below is most likely waiting on
+		// it; if it is not waiting yet, it finds the key released and the
+		// outcome is the same.
+		time.AfterFunc(20*time.Millisecond, cancelOwner)
+		waiterErr = run(context.Background(), nil, &waiterRan, &testArtifact{Vals: []int{3}})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(ownerErr, context.Canceled) {
+		t.Fatalf("owner err = %v, want context.Canceled", ownerErr)
+	}
+	if waiterErr != nil || len(waiterRan) != 3 {
+		t.Fatalf("waiter err = %v, ran %v; want it to compute the plan", waiterErr, waiterRan)
+	}
+	if st := cache.Stats(); st.Stores != 1 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want 1 store (the waiter's) and 2 misses", st)
+	}
+	got := &testArtifact{}
+	if err := run(context.Background(), nil, nil, got); err != nil || !slices.Equal(got.Vals, []int{3}) {
+		t.Fatalf("restored %v (err %v), want the waiter's [3]", got.Vals, err)
 	}
 }
 

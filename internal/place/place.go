@@ -697,12 +697,14 @@ func (p *Placer) shift1D(b *netlist.Block, d netlist.Die, g *geom.Grid, dg *dens
 // (3D nets measured in the shared XY plane), the placer's objective value.
 func HPWL(b *netlist.Block) float64 {
 	var wl float64
+	var pins []geom.Point
 	for i := range b.Nets {
 		n := &b.Nets[i]
 		if n.Kind != netlist.Signal {
 			continue
 		}
-		wl += geom.HPWL(b.NetPins(n))
+		pins = b.AppendNetPins(pins[:0], n)
+		wl += geom.HPWL(pins)
 	}
 	return wl
 }

@@ -79,6 +79,14 @@ go test -race -cpu=4 \
 	./internal/flow/
 go test -race -cpu=4 ./internal/pipeline/
 
+# exp.RunAll builds each distinct chip once through its chip memo, with
+# single-flight there and in the executor. Re-run the memo tests (memo on
+# at Workers=4 against memo off: byte-identical reports, 13 chips built,
+# misses equal to entries) under the race detector with extra CPUs, so
+# concurrent generators meet one chip, and one block plan, in flight.
+echo "==> go test -race -cpu=4 (chip memo + single-flight)"
+go test -race -cpu=4 -run 'TestChipMemo|TestChipSummary' ./internal/exp/
+
 # Every decoder that bytes from disk or a peer can reach gets a bounded
 # fuzzing pass beyond its seed corpus: the wire entry framing and the block
 # and fold payloads must fail cleanly on any input, never panic.
