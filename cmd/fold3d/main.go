@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,60 +47,71 @@ import (
 // main delegates to run so deferred profile writers fire before the process
 // exits (os.Exit skips defers).
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the testable command body. args are the command-line arguments
+// after the program name; reports go to stdout, diagnostics to stderr. It
+// returns the process exit status: 0 on success, 1 when an experiment
+// fails, 2 for a bad flag or option.
+func run(args []string, stdout, stderr io.Writer) int {
 	expNames := make([]string, 0, 18)
 	for _, g := range exp.Generators() {
 		expNames = append(expNames, g.Name)
 	}
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		which      = flag.String("exp", "all", "experiment name(s), comma-separated: "+strings.Join(expNames, "|")+"|all")
-		list       = flag.Bool("list", false, "print the experiment registry (sorted) and exit")
-		scale      = flag.Float64("scale", 1000, "netlist scale factor (cells per modeled cell)")
-		seed       = flag.Uint64("seed", 42, "random seed")
-		placer     = flag.String("placer", "", "placement backend: "+strings.Join(place.BackendNames(), "|")+" (default "+place.DefaultBackend+")")
-		svgdir     = flag.String("svgdir", "", "directory to write layout SVGs and netlist artifacts")
-		workers    = flag.Int("workers", 0, "parallel workers across experiments and per chip build (0 = one per CPU, 1 = sequential)")
-		progress   = flag.Bool("progress", false, "stream live per-block flow status to stderr")
-		cachedir   = flag.String("cachedir", "", "spill the block-artifact cache to this directory (warm-starts later runs)")
-		cachemb    = flag.Int("cachebudget", 512, "in-memory artifact-cache budget in MiB, 0 = unbounded; evicted entries fall back to -cachedir or recompute")
-		cachestats = flag.Bool("cachestats", false, "print artifact-cache hit/miss counters to stderr on exit")
-		thermalOn  = flag.Bool("thermal", false, "enable in-loop thermal planning: solve block temperature fields and insert thermal vias")
-		tmax       = flag.Float64("tmax", 0, "peak-temperature budget in C for -thermal (0 = no budget); the thermal report marks styles over budget as melting")
-		thermvias  = flag.Int("thermalvias", 0, "thermal-via insertion budget for -thermal (0 = defaults)")
-		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof    = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		which      = fs.String("exp", "all", "experiment name(s), comma-separated: "+strings.Join(expNames, "|")+"|all")
+		list       = fs.Bool("list", false, "print the experiment registry (sorted) and exit")
+		scale      = fs.Float64("scale", 1000, "netlist scale factor (cells per modeled cell)")
+		seed       = fs.Uint64("seed", 42, "random seed")
+		placer     = fs.String("placer", "", "placement backend: "+strings.Join(place.BackendNames(), "|")+" (default "+place.DefaultBackend+")")
+		svgdir     = fs.String("svgdir", "", "directory to write layout SVGs and netlist artifacts")
+		workers    = fs.Int("workers", 0, "parallel workers across experiments and per chip build (0 = one per CPU, 1 = sequential)")
+		progress   = fs.Bool("progress", false, "stream live per-block flow status to stderr")
+		cachedir   = fs.String("cachedir", "", "spill the block-artifact cache to this directory (warm-starts later runs)")
+		cachemb    = fs.Int("cachebudget", 512, "in-memory artifact-cache budget in MiB, 0 = unbounded; evicted entries fall back to -cachedir or recompute")
+		cachestats = fs.Bool("cachestats", false, "print artifact-cache hit/miss counters to stderr on exit")
+		thermalOn  = fs.Bool("thermal", false, "enable in-loop thermal planning: solve block temperature fields and insert thermal vias")
+		tmax       = fs.Float64("tmax", 0, "peak-temperature budget in C for -thermal (0 = no budget); the thermal report marks styles over budget as melting")
+		thermvias  = fs.Int("thermalvias", 0, "thermal-via insertion budget for -thermal (0 = defaults)")
+		cpuprof    = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof    = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		listExperiments(os.Stdout)
+		listExperiments(stdout)
 		return 0
 	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fold3d:", err)
+			fmt.Fprintln(stderr, "fold3d:", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "fold3d:", err)
+			fmt.Fprintln(stderr, "fold3d:", err)
 			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "fold3d:", err)
+				fmt.Fprintln(stderr, "fold3d:", err)
 			}
 		}()
 	}
 	if *memprof != "" {
 		defer func() {
 			if err := writeMemProfile(*memprof); err != nil {
-				fmt.Fprintln(os.Stderr, "fold3d:", err)
+				fmt.Fprintln(stderr, "fold3d:", err)
 			}
 		}()
 	}
@@ -111,14 +123,14 @@ func run() int {
 	if *thermalOn {
 		cfg.Thermal = flow.ThermalConfig{Enable: true, TMaxBudgetC: *tmax, ViaBudget: *thermvias}
 	} else if *tmax != 0 || *thermvias != 0 {
-		fmt.Fprintln(os.Stderr, "fold3d: -tmax/-thermalvias require -thermal")
+		fmt.Fprintln(stderr, "fold3d: -tmax/-thermalvias require -thermal")
 		return 2
 	}
 	// Fail fast on bad options — in particular an unknown -placer or an
 	// impossible -tmax — with the conventional flag-error exit status,
 	// before any work starts.
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "fold3d:", err)
+		fmt.Fprintln(stderr, "fold3d:", err)
 		return 2
 	}
 	// RunAll would create a memory-only cache itself; build it here so the
@@ -126,15 +138,15 @@ func run() int {
 	cfg.Cache = pipeline.NewCache(pipeline.CacheOptions{Dir: *cachedir, MaxBytes: int64(*cachemb) << 20})
 	if *cachestats {
 		defer func() {
-			fmt.Fprintf(os.Stderr, "fold3d: cache %s\n", cfg.Cache.Stats())
+			fmt.Fprintf(stderr, "fold3d: cache %s\n", cfg.Cache.Stats())
 		}()
 	}
 	if *progress {
 		cfg.Progress = func(p flow.Progress) {
 			if p.Block != "" {
-				fmt.Fprintf(os.Stderr, "  [%s %d/%d] %s\n", p.Stage, p.Done, p.Total, p.Block)
+				fmt.Fprintf(stderr, "  [%s %d/%d] %s\n", p.Stage, p.Done, p.Total, p.Block)
 			} else {
-				fmt.Fprintf(os.Stderr, "  [%s]\n", p.Stage)
+				fmt.Fprintf(stderr, "  [%s]\n", p.Stage)
 			}
 		}
 	}
@@ -153,9 +165,9 @@ func run() int {
 		switch {
 		case err != nil:
 			reported = true
-			fmt.Fprintf(os.Stderr, "fold3d: %v\n", err)
+			fmt.Fprintf(stderr, "fold3d: %v\n", err)
 		case *progress:
-			fmt.Fprintf(os.Stderr, "[%s done at %s]\n", r.Name, time.Since(t0).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "[%s done at %s]\n", r.Name, time.Since(t0).Round(time.Millisecond))
 		}
 	}
 	results, err := exp.RunAll(ctx, cfg, names, onDone)
@@ -163,22 +175,22 @@ func run() int {
 		if r == nil {
 			continue
 		}
-		fmt.Println(strings.TrimRight(r.Report, "\n"))
-		fmt.Printf("[%s]\n\n", r.Name)
+		fmt.Fprintln(stdout, strings.TrimRight(r.Report, "\n"))
+		fmt.Fprintf(stdout, "[%s]\n\n", r.Name)
 		if *svgdir != "" && len(r.Files) > 0 {
-			if werr := writeFiles(*svgdir, r.Files); werr != nil {
-				fmt.Fprintln(os.Stderr, "fold3d:", werr)
+			if werr := writeFiles(stdout, *svgdir, r.Files); werr != nil {
+				fmt.Fprintln(stderr, "fold3d:", werr)
 				return 1
 			}
 		}
 	}
 	if err != nil {
 		if !reported {
-			fmt.Fprintln(os.Stderr, "fold3d:", err)
+			fmt.Fprintln(stderr, "fold3d:", err)
 		}
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "fold3d: %d experiment(s) in %s\n", len(results), time.Since(t0).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "fold3d: %d experiment(s) in %s\n", len(results), time.Since(t0).Round(time.Millisecond))
 	return 0
 }
 
@@ -211,8 +223,8 @@ func writeMemProfile(path string) error {
 }
 
 // writeFiles dumps a result's artifacts into dir in sorted-name order so
-// the "wrote ..." log is deterministic.
-func writeFiles(dir string, files map[string]string) error {
+// the "wrote ..." log on w is deterministic.
+func writeFiles(w io.Writer, dir string, files map[string]string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -226,7 +238,7 @@ func writeFiles(dir string, files map[string]string) error {
 		if err := os.WriteFile(path, []byte(files[name]), 0o644); err != nil {
 			return err
 		}
-		fmt.Println("wrote", path)
+		fmt.Fprintln(w, "wrote", path)
 	}
 	return nil
 }

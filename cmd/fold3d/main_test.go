@@ -54,3 +54,37 @@ func TestListExperimentsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestRunExitCodes pins the CLI's exit statuses: 2 for a bad flag or
+// option, rejected before any work starts; 1 for a failed run; 0 for
+// success.
+func TestRunExitCodes(t *testing.T) {
+	cases := []struct {
+		name           string
+		args           []string
+		want           int
+		stdout, stderr string // substrings the streams must contain
+	}{
+		{"unknown placer", []string{"-exp", "table4", "-placer", "simulated-annealing"}, 2, "", "simulated-annealing"},
+		{"tmax without thermal", []string{"-exp", "thermal", "-tmax", "85"}, 2, "", "require -thermal"},
+		{"impossible tmax", []string{"-exp", "thermal", "-thermal", "-tmax", "20"}, 2, "", "TMaxBudgetC"},
+		{"negative workers", []string{"-workers", "-1"}, 2, "", "workers must be >= 0"},
+		{"unknown experiment", []string{"-exp", "nope"}, 1, "", `no experiment "nope"`},
+		{"list", []string{"-list"}, 0, "placement backends (-placer)", ""},
+		{"help", []string{"-h"}, 0, "", "Usage of"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			if got := run(tc.args, &stdout, &stderr); got != tc.want {
+				t.Fatalf("run(%q) = %d, want %d; stderr:\n%s", tc.args, got, tc.want, stderr.String())
+			}
+			if !strings.Contains(stdout.String(), tc.stdout) {
+				t.Errorf("stdout %q does not mention %q", stdout.String(), tc.stdout)
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Errorf("stderr %q does not mention %q", stderr.String(), tc.stderr)
+			}
+		})
+	}
+}

@@ -38,7 +38,7 @@ func AblationMacroMode(ctx context.Context, cfg Config) (*MacroModeResult, error
 		b := d.Blocks["L2D0"].Clone()
 		r, err := fl.ImplementBlockContext(ctx, b, d.Specs["L2D0"].Aspect)
 		if err != nil {
-			return nil, fmt.Errorf("exp: macro mode %d: %v", mode, err)
+			return nil, fmt.Errorf("exp: macro mode %d: %w", mode, err)
 		}
 		// The placer is internal to the flow; re-legalize to measure the
 		// displacement a fresh legalization would need from the global

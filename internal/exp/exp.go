@@ -473,7 +473,7 @@ func foldBlock(ctx context.Context, cfg Config, name string, bond extract.Bondin
 	b2 := b.Clone()
 	r2, err := fl.ImplementBlockContext(ctx, b2, aspect)
 	if err != nil {
-		return nil, fmt.Errorf("exp: 2D %s: %v", name, err)
+		return nil, fmt.Errorf("exp: 2D %s: %w", name, err)
 	}
 
 	fcfg := cfg.flowCfg()
@@ -482,7 +482,7 @@ func foldBlock(ctx context.Context, cfg Config, name string, bond extract.Bondin
 	b3 := b.Clone()
 	r3, fr, err := fl3.FoldAndImplementContext(ctx, b3, fo, aspect)
 	if err != nil {
-		return nil, fmt.Errorf("exp: folding %s: %v", name, err)
+		return nil, fmt.Errorf("exp: folding %s: %w", name, err)
 	}
 	fc := &FoldCompare{Block: name, Bond: bond, R2D: r2, R3D: r3, Fold: fr}
 	fc.fill()

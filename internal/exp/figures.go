@@ -319,7 +319,7 @@ func Figure7(ctx context.Context, cfg Config) (*Figure7Result, error) {
 			b3 := b.Clone()
 			r3, _, err := fl3.FoldAndImplementContext(ctx, b3, fo, aspect)
 			if err != nil {
-				return nil, fmt.Errorf("exp: figure7 partition %d %s: %v", i+1, bond, err)
+				return nil, fmt.Errorf("exp: figure7 partition %d %s: %w", i+1, bond, err)
 			}
 			norm := r3.Power.TotalMW / base
 			if bond == extract.F2B {

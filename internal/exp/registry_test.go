@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fold3d/internal/errs"
+	"fold3d/internal/pipeline"
 )
 
 // canonicalOrder is the committed registry order: the paper's report order
@@ -144,5 +145,28 @@ func TestRunAllSharesCache(t *testing.T) {
 	}
 	if len(res) != 1 || res[0] == nil || res[0].Name != "table1" {
 		t.Fatalf("results = %+v", res)
+	}
+}
+
+// TestGeneratorsHonorCanceledContext runs every registered generator under
+// an already-canceled context. Each must either finish without building
+// anything (no flow reached the cache) or fail with an error matching
+// errs.ErrCanceled: fold3dd's job runner classifies a job as canceled,
+// not failed, by exactly that match.
+func TestGeneratorsHonorCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, g := range Generators() {
+		t.Run(g.Name, func(t *testing.T) {
+			cache := pipeline.NewCache(pipeline.CacheOptions{})
+			_, err := g.Run(ctx, Config{Scale: 1000, Seed: 42, Workers: 1, Cache: cache})
+			if err == nil {
+				if st := cache.Stats(); st.Misses != 0 || st.Stores != 0 {
+					t.Errorf("succeeded under a canceled context after building: %s", st)
+				}
+			} else if !errors.Is(err, errs.ErrCanceled) {
+				t.Errorf("err = %v, want one matching errs.ErrCanceled", err)
+			}
+		})
 	}
 }

@@ -19,18 +19,23 @@ func withPlacer(name string) func(*Config) {
 // TestAnalyticalFingerprintEquivalence extends the worker-pool determinism
 // contract to the analytical backend: Workers=1 and Workers=4 must produce
 // byte-identical chips for every design style, exactly as
-// TestParallelFingerprintEquivalence pins for force.
+// TestParallelFingerprintEquivalence pins for force. The Workers=1 side is
+// the shared reference chip.
 func TestAnalyticalFingerprintEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ten full-chip builds")
 	}
+	t.Parallel()
 	styles := []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleCoreCore, t2.StyleFoldF2B, t2.StyleFoldF2F}
 	for _, style := range styles {
-		seq := chipFingerprintCfg(t, style, 42, 1, withPlacer("analytical"))
-		par := chipFingerprintCfg(t, style, 42, 4, withPlacer("analytical"))
-		if seq != par {
-			t.Errorf("%s: analytical Workers=1 vs Workers=4 fingerprints differ:\n%s", style, firstDiff(seq, par))
-		}
+		t.Run(style.String(), func(t *testing.T) {
+			t.Parallel()
+			seq := refFingerprint(t, style, 42, "analytical")
+			par := chipFingerprintCfg(t, style, 42, 4, withPlacer("analytical"))
+			if seq != par {
+				t.Errorf("analytical Workers=1 vs Workers=4 fingerprints differ:\n%s", firstDiff(seq, par))
+			}
+		})
 	}
 }
 
@@ -42,8 +47,9 @@ func TestBackendsProduceDistinctPlacements(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full-chip builds")
 	}
-	force := chipFingerprintCfg(t, t2.StyleCoreCache, 42, 1, withPlacer(place.DefaultBackend))
-	analytical := chipFingerprintCfg(t, t2.StyleCoreCache, 42, 1, withPlacer("analytical"))
+	t.Parallel()
+	force := refFingerprint(t, t2.StyleCoreCache, 42, place.DefaultBackend)
+	analytical := refFingerprint(t, t2.StyleCoreCache, 42, "analytical")
 	if force == analytical {
 		t.Fatal("force and analytical produced byte-identical chips; backend dispatch is broken")
 	}
@@ -58,6 +64,7 @@ func TestForceCacheKeyIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip builds")
 	}
+	t.Parallel()
 	cache := pipeline.NewCache(pipeline.CacheOptions{})
 	legacy := chipFingerprintCfg(t, t2.StyleCoreCache, 42, 1, func(c *Config) {
 		c.Cache = cache
@@ -89,6 +96,7 @@ func TestCrossBackendCacheIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip builds")
 	}
+	t.Parallel()
 	// Memory tier: a memory-only cache warmed by force contributes nothing
 	// to an analytical run.
 	memCache := pipeline.NewCache(pipeline.CacheOptions{})

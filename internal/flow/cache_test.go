@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fold3d/internal/pipeline"
+	"fold3d/internal/place"
 	"fold3d/internal/t2"
 )
 
@@ -13,21 +14,23 @@ import (
 // warm-cache BuildChip must produce a fingerprint byte-identical to a cold
 // build, at worker counts 1 and N. The warm runs rebuild the design from
 // scratch (fresh netlists, fresh library instances), so this also covers
-// the master re-interning path a cross-design cache hit takes. check.sh
-// re-runs this under -race: a data race in the shared cache would
-// masquerade as a fingerprint diff or corrupt a restored artifact.
+// the master re-interning path a cross-design cache hit takes. The cold
+// build is the shared reference chip. Under -race, a data race in the
+// shared cache would masquerade as a fingerprint diff or corrupt a
+// restored artifact.
 func TestCacheEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many full-chip builds")
 	}
+	t.Parallel()
 	styles := []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleCoreCore,
 		t2.StyleFoldF2B, t2.StyleFoldF2F}
 	seeds := []uint64{42, 43, 44}
 	for _, style := range styles {
 		for _, seed := range seeds {
-			style, seed := style, seed
 			t.Run(style.String()+"/"+string(rune('0'+seed-40)), func(t *testing.T) {
-				cold := chipFingerprint(t, style, seed, 1)
+				t.Parallel()
+				cold := refFingerprint(t, style, seed, place.DefaultBackend)
 
 				cache := pipeline.NewCache(pipeline.CacheOptions{})
 				withCache := func(c *Config) { c.Cache = cache }
@@ -60,15 +63,16 @@ func TestCacheEquivalence(t *testing.T) {
 
 // TestCacheDiskEquivalence covers the on-disk spill end to end: a cold
 // build spills to disk, a fresh in-memory cache over the same directory
-// restores from it (gob decode + master re-interning), and the result is
-// byte-identical. The budgeted case holds memory to a MaxBytes small
-// enough to evict during the build: eviction moves where a lookup is
-// served from, never what it returns, so every case matches the unbounded
-// cold build too.
+// restores from it (flat-codec decode + master re-interning), and the
+// result is byte-identical. The budgeted case holds memory to a MaxBytes
+// small enough to evict during the build: eviction moves where a lookup
+// is served from, never what it returns, so every case matches the
+// unbounded cold build too.
 func TestCacheDiskEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip builds")
 	}
+	t.Parallel()
 	var unbounded string
 	for _, budget := range []int64{0, 256 << 10} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
@@ -111,6 +115,7 @@ func TestCacheCrossStyleReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip builds")
 	}
+	t.Parallel()
 	cache := pipeline.NewCache(pipeline.CacheOptions{})
 	withCache := func(c *Config) { c.Cache = cache }
 	a := chipFingerprintCfg(t, t2.Style2D, 42, 1, withCache)

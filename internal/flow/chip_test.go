@@ -1,24 +1,41 @@
 package flow
 
 import (
+	"fmt"
 	"testing"
 
 	"fold3d/internal/t2"
 )
 
-// buildStyle builds a full chip in the given style at the test scale.
+// styleKey names one chip buildStyle serves.
+type styleKey struct {
+	style t2.Style
+	hvt   bool
+}
+
+// styleChips holds the chips buildStyle has built.
+var styleChips lazy[styleKey, *ChipResult]
+
+// buildStyle returns the full chip in the given style at the test scale,
+// built on first request and shared read-only by every later one in the
+// test binary; a failed build fails every test that asks for it.
 func buildStyle(t *testing.T, style t2.Style, hvt bool) *ChipResult {
 	t.Helper()
-	d, err := t2.Generate(t2.Config{Scale: 1000, Seed: 42})
+	r, err := styleChips.get(styleKey{style, hvt}, func() (*ChipResult, error) {
+		d, err := t2.Generate(t2.Config{Scale: 1000, Seed: 42})
+		if err != nil {
+			return nil, err
+		}
+		cfg := DefaultConfig()
+		cfg.UseHVT = hvt
+		r, err := New(d, cfg).BuildChip(style)
+		if err != nil {
+			return nil, fmt.Errorf("BuildChip(%s): %w", style, err)
+		}
+		return r, nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.UseHVT = hvt
-	fl := New(d, cfg)
-	r, err := fl.BuildChip(style)
-	if err != nil {
-		t.Fatalf("BuildChip(%s): %v", style, err)
 	}
 	return r
 }
@@ -27,6 +44,7 @@ func TestBuildChip2D(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip build")
 	}
+	t.Parallel()
 	r := buildStyle(t, t2.Style2D, false)
 	if len(r.Blocks) != 46 {
 		t.Fatalf("blocks = %d", len(r.Blocks))
@@ -55,6 +73,7 @@ func TestBuildChipCoreCacheVs2D(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip build")
 	}
+	t.Parallel()
 	r2 := buildStyle(t, t2.Style2D, false)
 	r3 := buildStyle(t, t2.StyleCoreCache, false)
 	// Paper Table 2 shape: the stack halves the footprint (~-46%) and saves
@@ -78,6 +97,7 @@ func TestBuildChipFoldedStyles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip build")
 	}
+	t.Parallel()
 	r2 := buildStyle(t, t2.Style2D, false)
 	rb := buildStyle(t, t2.StyleFoldF2B, false)
 	rf := buildStyle(t, t2.StyleFoldF2F, false)
@@ -132,6 +152,7 @@ func TestBuildChipDualVthBenefit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip build")
 	}
+	t.Parallel()
 	rvt := buildStyle(t, t2.StyleFoldF2F, false)
 	dvt := buildStyle(t, t2.StyleFoldF2F, true)
 	if dvt.Power.TotalMW >= rvt.Power.TotalMW {

@@ -7,6 +7,7 @@ import (
 	"fold3d/internal/core"
 	"fold3d/internal/netlist"
 	"fold3d/internal/pipeline"
+	"fold3d/internal/place"
 	"fold3d/internal/t2"
 )
 
@@ -139,6 +140,7 @@ func TestFoldCacheWarmRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip builds")
 	}
+	t.Parallel()
 	cache := pipeline.NewCache(pipeline.CacheOptions{})
 	withCache := func(c *Config) { c.Cache = cache }
 	cold := chipFingerprintCfg(t, t2.StyleFoldF2F, 42, 1, withCache)
@@ -152,7 +154,7 @@ func TestFoldCacheWarmRebuild(t *testing.T) {
 	}
 
 	f2b := chipFingerprintCfg(t, t2.StyleFoldF2B, 42, 1, withCache)
-	if want := chipFingerprint(t, t2.StyleFoldF2B, 42, 1); f2b != want {
+	if want := refFingerprint(t, t2.StyleFoldF2B, 42, place.DefaultBackend); f2b != want {
 		t.Fatalf("fold-F2B build restoring F2F folds diverged from an uncached build:\n%s", firstDiff(f2b, want))
 	}
 }

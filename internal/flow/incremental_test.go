@@ -3,6 +3,7 @@ package flow
 import (
 	"testing"
 
+	"fold3d/internal/place"
 	"fold3d/internal/t2"
 )
 
@@ -12,12 +13,14 @@ import (
 // dirty-net extraction) must produce a byte-identical fingerprint —
 // every report float, every optimizer move, every serialized netlist
 // byte — to a build with Opt.FullRecompute, which replays the historical
-// full-reanalysis flow. See DESIGN.md §10.
+// full-reanalysis flow. See DESIGN.md §10. The incremental side is the
+// shared reference chip.
 func TestIncrementalFingerprintEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full-chip builds")
 	}
-	inc := chipFingerprint(t, t2.StyleCoreCache, 42, 1)
+	t.Parallel()
+	inc := refFingerprint(t, t2.StyleCoreCache, 42, place.DefaultBackend)
 	full := chipFingerprintCfg(t, t2.StyleCoreCache, 42, 1, func(c *Config) {
 		c.Opt.FullRecompute = true
 	})

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fold3d/internal/errs"
+	"fold3d/internal/place"
 	"fold3d/internal/t2"
 )
 
@@ -15,18 +16,23 @@ import (
 // worker pool: building the chip with Workers=1 (the strictly sequential
 // legacy path) and Workers=4 must produce byte-identical results for
 // every design style. Per-block seeding and the sorted-name merge make
-// the outcome independent of completion order.
+// the outcome independent of completion order. The Workers=1 side is the
+// shared reference chip.
 func TestParallelFingerprintEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ten full-chip builds")
 	}
+	t.Parallel()
 	styles := []t2.Style{t2.Style2D, t2.StyleCoreCache, t2.StyleCoreCore, t2.StyleFoldF2B, t2.StyleFoldF2F}
 	for _, style := range styles {
-		seq := chipFingerprint(t, style, 42, 1)
-		par := chipFingerprint(t, style, 42, 4)
-		if seq != par {
-			t.Errorf("%s: Workers=1 vs Workers=4 fingerprints differ:\n%s", style, firstDiff(seq, par))
-		}
+		t.Run(style.String(), func(t *testing.T) {
+			t.Parallel()
+			seq := refFingerprint(t, style, 42, place.DefaultBackend)
+			par := chipFingerprint(t, style, 42, 4)
+			if seq != par {
+				t.Errorf("Workers=1 vs Workers=4 fingerprints differ:\n%s", firstDiff(seq, par))
+			}
+		})
 	}
 }
 
@@ -100,6 +106,7 @@ func TestProgressEvents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip build")
 	}
+	t.Parallel()
 	var mu sync.Mutex
 	var events []Progress
 	cfg := DefaultConfig()

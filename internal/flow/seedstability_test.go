@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fold3d/internal/designio"
+	"fold3d/internal/place"
 	"fold3d/internal/t2"
 )
 
@@ -22,9 +23,20 @@ func chipFingerprint(t *testing.T, style t2.Style, seed uint64, workers int) str
 // the defaults, for tests that flip flow options (e.g. Opt.FullRecompute).
 func chipFingerprintCfg(t *testing.T, style t2.Style, seed uint64, workers int, mut func(*Config)) string {
 	t.Helper()
-	d, err := t2.Generate(t2.Config{Scale: 1000, Seed: seed})
+	fp, err := renderChip(style, seed, workers, mut)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return fp
+}
+
+// renderChip builds the chip chipFingerprintCfg describes and renders its
+// fingerprint, returning any failure instead of ending the test, so a
+// shared reference build can hand its error to every test that asked.
+func renderChip(style t2.Style, seed uint64, workers int, mut func(*Config)) (string, error) {
+	d, err := t2.Generate(t2.Config{Scale: 1000, Seed: seed})
+	if err != nil {
+		return "", err
 	}
 	cfg := DefaultConfig()
 	cfg.Seed = seed
@@ -35,7 +47,7 @@ func chipFingerprintCfg(t *testing.T, style t2.Style, seed uint64, workers int, 
 	fl := New(d, cfg)
 	r, err := fl.BuildChip(style)
 	if err != nil {
-		t.Fatalf("BuildChip(%s): %v", style, err)
+		return "", fmt.Errorf("BuildChip(%s): %w", style, err)
 	}
 
 	var sb strings.Builder
@@ -52,17 +64,17 @@ func chipFingerprintCfg(t *testing.T, style t2.Style, seed uint64, workers int, 
 		fmt.Fprintf(&sb, "block %s power=%+v wns=%v tns=%v reps=%d hvt=%d\n",
 			name, br.Power, br.Timing.WNS, br.Timing.TNS, br.RepeatersInserted, br.HVTSwapped)
 		if err := designio.WriteVerilog(&sb, br.Block, br.Block.Is3D); err != nil {
-			t.Fatalf("WriteVerilog(%s): %v", name, err)
+			return "", fmt.Errorf("WriteVerilog(%s): %w", name, err)
 		}
 		if err := designio.WriteDEF(&sb, br.Block, -1, br.Block.Is3D); err != nil {
-			t.Fatalf("WriteDEF(%s): %v", name, err)
+			return "", fmt.Errorf("WriteDEF(%s): %w", name, err)
 		}
 	}
 	for i := range r.ChipNets {
 		cn := &r.ChipNets[i]
 		fmt.Fprintf(&sb, "chipnet %d len=%v crossings=%d\n", i, cn.RouteLen, cn.Crossings)
 	}
-	return sb.String()
+	return sb.String(), nil
 }
 
 // TestSeedStability is the determinism regression test behind the repo's
@@ -76,9 +88,13 @@ func TestSeedStability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full-chip builds")
 	}
-	// The folded core/cache style exercises the most machinery:
-	// partitioning, 3D placement, TSV insertion and chip-level routing.
-	a := chipFingerprint(t, t2.StyleCoreCache, 42, 1)
+	t.Parallel()
+	// The core/cache style stacks whole blocks on two dies without folding
+	// any: it exercises the two-die floorplan, inter-block TSV insertion
+	// and chip-level routing across dies. a is the shared reference build;
+	// b must be a fresh one, because a rebuild in the same process is what
+	// this test checks.
+	a := refFingerprint(t, t2.StyleCoreCache, 42, place.DefaultBackend)
 	b := chipFingerprint(t, t2.StyleCoreCache, 42, 1)
 	if a != b {
 		t.Fatalf("same seed produced different results:\n%s", firstDiff(a, b))
@@ -86,7 +102,7 @@ func TestSeedStability(t *testing.T) {
 
 	// And a different seed must actually change something, or the
 	// fingerprint is vacuous.
-	c := chipFingerprint(t, t2.StyleCoreCache, 43, 1)
+	c := refFingerprint(t, t2.StyleCoreCache, 43, place.DefaultBackend)
 	if a == c {
 		t.Fatal("different seeds produced byte-identical results; fingerprint is not sensitive")
 	}

@@ -8,6 +8,7 @@ import (
 	"fold3d/internal/core"
 	"fold3d/internal/errs"
 	"fold3d/internal/pipeline"
+	"fold3d/internal/place"
 	"fold3d/internal/t2"
 	"fold3d/internal/thermal"
 )
@@ -87,6 +88,7 @@ func TestThermalOffFingerprintIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip builds")
 	}
+	t.Parallel()
 	cache := pipeline.NewCache(pipeline.CacheOptions{})
 	legacy := chipFingerprintCfg(t, t2.StyleFoldF2B, 42, 1, func(c *Config) {
 		c.Cache = cache
@@ -117,13 +119,14 @@ func TestThermalFingerprintEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip builds")
 	}
+	t.Parallel()
 	tc := ThermalConfig{TMaxBudgetC: 85, ViaBudget: 8}
 	seq := chipFingerprintCfg(t, t2.StyleFoldF2B, 42, 1, withThermal(tc))
 	par := chipFingerprintCfg(t, t2.StyleFoldF2B, 42, 4, withThermal(tc))
 	if seq != par {
 		t.Errorf("thermal Workers=1 vs Workers=4 fingerprints differ:\n%s", firstDiff(seq, par))
 	}
-	blind := chipFingerprintCfg(t, t2.StyleFoldF2B, 42, 1, nil)
+	blind := refFingerprint(t, t2.StyleFoldF2B, 42, place.DefaultBackend)
 	if seq == blind {
 		t.Error("thermal-enabled chip is byte-identical to the thermal-blind chip; the via stage never ran")
 	}
@@ -136,8 +139,9 @@ func TestThermalStageOnlyOnFoldedF2B(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip builds")
 	}
+	t.Parallel()
 	on := chipFingerprintCfg(t, t2.Style2D, 42, 1, withThermal(ThermalConfig{ViaBudget: 8}))
-	off := chipFingerprintCfg(t, t2.Style2D, 42, 1, nil)
+	off := refFingerprint(t, t2.Style2D, 42, place.DefaultBackend)
 	if on != off {
 		t.Errorf("thermal config changed a 2D chip:\n%s", firstDiff(on, off))
 	}

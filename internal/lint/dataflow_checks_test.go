@@ -46,10 +46,7 @@ func loadSrc(t *testing.T, name, src string) *Package {
 	if err := os.WriteFile(filepath.Join(dir, name+".go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	l := newLoader(t, ".")
 	p, err := l.LoadDir(dir, name)
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)

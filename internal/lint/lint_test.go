@@ -15,10 +15,7 @@ var wantRe = regexp.MustCompile("// want `([^`]+)`")
 // loadFixture loads testdata/src/<dir> under the given import path.
 func loadFixture(t *testing.T, dir, importPath string) (*Loader, *Package) {
 	t.Helper()
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	l := newLoader(t, ".")
 	p, err := l.LoadDir(filepath.Join("testdata", "src", dir), importPath)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)

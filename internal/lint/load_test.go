@@ -1,12 +1,35 @@
 package lint
 
 import (
+	"go/importer"
+	"go/token"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 )
+
+// Every loader in the test binary shares one file set and one GOROOT
+// source importer, so the standard library is type-checked once per
+// binary, not once per test. The importer is not documented as safe for
+// concurrent use, so the lint tests stay sequential.
+var (
+	testFset = token.NewFileSet()
+	testStd  = importer.ForCompiler(testFset, "source", nil)
+)
+
+// newLoader is NewLoader on the test binary's shared file set and
+// standard-library importer.
+func newLoader(t *testing.T, dir string) *Loader {
+	t.Helper()
+	l, err := NewLoader(dir)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	l.fset, l.std = testFset, testStd
+	return l
+}
 
 // The loader edge cases: build-constraint-excluded files, _test.go
 // variants, and packages that fail to type-check must be skipped or
@@ -39,10 +62,7 @@ func TestParseDirSkipsExcludedFiles(t *testing.T) {
 	write(".hidden.go", "package wrong\n")
 	write("notgo.txt", "not go at all")
 
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	l := newLoader(t, ".")
 	p, err := l.LoadDir(dir, "edge")
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
@@ -59,10 +79,7 @@ func TestParseDirKeepsSatisfiedConstraints(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "tagged.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	l := newLoader(t, ".")
 	p, err := l.LoadDir(dir, "edge")
 	if err != nil {
 		t.Fatalf("LoadDir rejected a satisfied //go:build constraint: %v", err)
@@ -78,10 +95,7 @@ func TestLoadDirTypeErrorIsAnErrorNotAPanic(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "bad.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	l := newLoader(t, ".")
 	if _, err := l.LoadDir(dir, "edge"); err == nil || !strings.Contains(err.Error(), "type-checking") {
 		t.Fatalf("want a type-checking error, got %v", err)
 	}
@@ -107,10 +121,7 @@ func TestLoadModuleReportsBrokenPackages(t *testing.T) {
 	write("badtype/bad.go", "// Package badtype has a type error.\npackage badtype\n\nvar x undefinedType\n")
 	write("badparse/bad.go", "package badparse\n\nfunc (")
 
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	l := newLoader(t, root)
 	pkgs, err := l.LoadModule(nil)
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)

@@ -11,10 +11,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is not short")
 	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	l := newLoader(t, ".")
 	pkgs, err := l.LoadModule(nil)
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)

@@ -1,16 +1,38 @@
 #!/bin/sh
 # check.sh — the pre-PR gate (see README "Static analysis: fold3dlint").
 #
-# Runs everything CI would: vet, build, race-enabled tests, and the repo's
-# own linter. Any failure stops the script and fails the gate.
+# Runs everything CI would: vet, build, race-enabled tests, fuzzing, the
+# repo's own linter and end-to-end smokes of the real binaries. Any failure
+# stops the script and fails the gate. Each step header is followed by the
+# elapsed seconds of the step before it, so per-step costs can be quoted
+# straight from the log.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> go vet ./..."
+START="$(date +%s)"
+STEP_T0="$START"
+STEP_NAME=""
+
+# step NAME — close the running step (print its elapsed seconds) and open
+# the step NAME.
+step() {
+	_now="$(date +%s)"
+	if [ -n "$STEP_NAME" ]; then
+		echo "    [$STEP_NAME: $((_now - STEP_T0)) s]"
+	fi
+	STEP_NAME="$1"
+	STEP_T0="$_now"
+	echo "==> $1"
+}
+
+# go vet catches suspicious constructs the compiler accepts; it runs
+# first because it is cheap.
+step "go vet ./..."
 go vet ./...
 
-echo "==> gofmt -l"
+# Unformatted Go files fail the gate; testdata fixtures are exempt.
+step "gofmt -l"
 UNFORMATTED="$(gofmt -l . | grep -v '^testdata/' | grep -v '/testdata/' || true)"
 if [ -n "$UNFORMATTED" ]; then
 	echo "check.sh: gofmt needed on:" >&2
@@ -18,99 +40,51 @@ if [ -n "$UNFORMATTED" ]; then
 	exit 1
 fi
 
-echo "==> go build ./..."
+# Every package must compile, including those without tests.
+step "go build ./..."
 go build ./...
 
 # The benchmark harness is its own module, so ./... above skips it; vet and
 # test it here so an API change that breaks it fails this gate, not the
 # benchmark run.
-echo "==> fold3dbench module: go vet + go test"
+step "fold3dbench module: go vet + go test"
 (cd cmd/fold3dbench && go vet ./... && go test ./...)
 
-echo "==> go test -race ./..."
-go test -race ./...
+# Every test of the module, once, under the race detector. -cpu=4 sets
+# GOMAXPROCS to 4 whatever the host's core count, so the worker pool, the
+# parallel chip build, the shared artifact cache, the chip memo and the
+# lint fan-out interleave on more threads than a small CI host has cores.
+step "go test -race -cpu=4 ./..."
+go test -race -cpu=4 ./...
 
-# The worker pool and the parallel chip build are where a data race would
-# hide; run their tests again under the race detector with extra workers
-# so the scheduler gets more chances to interleave them.
-echo "==> go test -race -count=2 -cpu=4 (pool + parallel flow)"
-go test -race -count=2 -cpu=4 ./internal/pool/
-go test -race -cpu=4 -run 'TestParallelFingerprintEquivalence|TestBuildChipCancellation|TestProgressEvents' ./internal/flow/
-
-# The incremental timing engine must stay bit-identical to a full rebuild;
-# re-run the equivalence property test under the race detector so a data
-# race in the engine's cached state can't masquerade as a float diff.
-echo "==> go test -race (incremental STA equivalence)"
-go test -race -run 'TestIncrementalFullEquivalence' ./internal/opt/
-
-# The PR 8 scaling pass rewrote legalization, spreading and the TSV
-# planner around spatial indexes; the cross-scale property tests replay
-# the pre-PR reference implementations (reference_test.go) against the
-# indexed ones at scale 1000 and, without -short, scale 100, and require
-# exactly equal positions. Run them under the race detector: the SoA
-# mirrors are shared state, and a stale mirror would show up here as a
-# position diff long before it corrupts a fingerprint.
-echo "==> go test -race (cross-scale legalize/spread equivalence)"
-go test -race -run 'TestLegalizeMatchesReference|TestSpreadMatchesReference' \
-	./internal/place/
-
-# PR 9 split placement behind a backend registry and added the analytical
-# bistratal backend. Each backend's fingerprints must be byte-identical
-# across worker counts, the default backend must keep its pre-PR cache
-# identity, and cache entries must never cross backends on any tier.
-# Re-run the backend suite and the analytical placer's determinism
-# properties under the race detector with extra CPUs.
-echo "==> go test -race -cpu=4 (placement backend equivalence + cache isolation)"
-go test -race -cpu=4 \
-	-run 'TestAnalyticalFingerprintEquivalence|TestBackendsProduceDistinctPlacements|TestForceCacheKeyIdentity|TestCrossBackendCacheIsolation|TestUnknownBackendFailsFast' \
-	./internal/flow/
-go test -race -cpu=4 -count=2 ./internal/place/analytical/
-
-# Cache hits must be byte-identical to recomputation. The full style x seed
-# matrix already ran under -race above (go test -race ./...); re-run the
-# heaviest style with extra CPUs so the shared cache sees more goroutine
-# interleavings, plus the disk-spill, cross-style reuse and fold-artifact
-# properties, the block and fold codecs and the aliasing guarantees the
-# shared held payloads rely on. The cache itself (tiers, budget, peer
-# serving) runs whole.
-echo "==> go test -race -cpu=4 (artifact-cache equivalence)"
-go test -race -cpu=4 \
-	-run 'TestCacheEquivalence/fold-F2F|TestCacheDiskEquivalence|TestCacheCrossStyleReuse|TestFoldCache|TestCacheAliasing|Codec' \
-	./internal/flow/
-go test -race -cpu=4 ./internal/pipeline/
-
-# exp.RunAll builds each distinct chip once through its chip memo, with
-# single-flight there and in the executor. Re-run the memo tests (memo on
-# at Workers=4 against memo off: byte-identical reports, 13 chips built,
-# misses equal to entries) under the race detector with extra CPUs, so
-# concurrent generators meet one chip, and one block plan, in flight.
-echo "==> go test -race -cpu=4 (chip memo + single-flight)"
-go test -race -cpu=4 -run 'TestChipMemo|TestChipSummary' ./internal/exp/
+# These packages' tests probe goroutine interleavings directly, so one more
+# pair of runs gives the race detector more schedules to catch:
+#   internal/pool       worker slots, lowest-index error, cancellation;
+#   internal/jobs       scheduler admission, event streams, batches, drain;
+#   internal/server     NDJSON streams, graceful shutdown, the fleet suites;
+#   cmd/fold3dd         the daemon's serve-and-shutdown lifecycle;
+#   internal/cluster    the peer artifact tier over HTTP;
+#   pkg/fold3d          the client's stream resume and consumer stop.
+step "go test -race -cpu=4 -count=2 (goroutine-interleaving packages)"
+go test -race -cpu=4 -count=2 ./internal/pool/ ./internal/jobs/ ./internal/server/ \
+	./cmd/fold3dd/ ./internal/cluster/ ./pkg/fold3d/
 
 # Every decoder that bytes from disk or a peer can reach gets a bounded
 # fuzzing pass beyond its seed corpus: the wire entry framing and the block
 # and fold payloads must fail cleanly on any input, never panic.
-echo "==> go test -fuzz (cache entry, block and fold codecs, 10s each)"
+step "go test -fuzz (cache entry, block and fold codecs, 10s each)"
 go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 10s ./internal/pipeline/
 go test -run '^$' -fuzz '^FuzzBlockCodec$' -fuzztime 10s ./internal/flow/
 go test -run '^$' -fuzz '^FuzzFoldCodec$' -fuzztime 10s ./internal/flow/
 
-# The fold3dd server is the one sanctioned home of long-lived goroutines
-# (scheduler workers, accept loop); re-run its suites under the race
-# detector with extra CPUs so admission, event streams and shutdown drain
-# interleave more aggressively. The fleet suites (consistent-hash routing,
-# forwarded jobs, the peer artifact tier) and the public client live here
-# too.
-echo "==> go test -race -cpu=4 (fold3dd job queue + HTTP server + daemon + fleet + client)"
-go test -race -cpu=4 -count=2 ./internal/jobs/ ./internal/server/ ./cmd/fold3dd/ ./internal/cluster/ ./pkg/fold3d/
-
-# Fleet smoke test: boot two daemons as each other's peers, find a seed
-# whose {table4} and {table1,table4} requests hash to different owners
-# (the pair shares its table4 stage artifacts), run both through one entry
-# node, and require that the second job's owner filled its cache from its
-# peer over the artifact network tier (peer_hit > 0 in that node's
-# /metrics). Both nodes must exit cleanly on SIGTERM.
-echo "==> fold3dd fleet smoke (two nodes, forwarding, peer cache fetch)"
+# Fleet smoke test, the only test of the real binary's -peers wiring: boot
+# two daemons as each other's peers, find a seed whose {table4} and
+# {table1,table4} requests hash to different owners (the pair shares its
+# table4 stage artifacts), run both through one entry node, and require
+# that the second job's owner filled its cache from its peer over the
+# artifact network tier (peer_hit > 0 in that node's /metrics). Both nodes
+# must exit cleanly on SIGTERM.
+step "fold3dd fleet smoke (two nodes, forwarding, peer cache fetch)"
 SMOKEDIR="$(mktemp -d)"
 APID=""
 BPID=""
@@ -196,61 +170,32 @@ done
 APID=""
 BPID=""
 
-# PR 10: the multigrid thermal engine is pooled and re-entered by every
-# flow worker, and thermal-enabled chip builds must stay byte-identical
-# across worker counts. Re-run the solver suite and the flow's thermal
-# contract tests under the race detector with extra CPUs.
-echo "==> go test -race -cpu=4 (thermal solver + in-loop thermal planning)"
-go test -race -cpu=4 -count=2 ./internal/thermal/
-go test -race -cpu=4 \
-	-run 'TestThermalConfigValidate|TestThermalViasInserted|TestThermalOffFingerprintIdentity|TestThermalFingerprintEquivalence|TestThermalStageOnlyOnFoldedF2B' \
-	./internal/flow/
-
-# The linter itself now runs its checks through the worker pool; re-run
-# its suite under the race detector with extra CPUs so a data race in the
-# parallel load or check fan-out cannot hide behind deterministic output.
-echo "==> go test -race -cpu=4 (lint engine: parallel load + checks)"
-go test -race -cpu=4 ./internal/lint/...
-
-# fold3dlint includes apiguard's call-ban table (lint.Config.CallBans):
-# internal/opt times through its persistent sta.Engine, and internal/flow
-# runs stages only through the pipeline executor and builds placers only
-# through the backend registry. Its IndexedScanOnly rule bans nested
-# linear Cells scans in internal/place (legalization and blockage queries
-# must use the spatial indexes).
-echo "==> go run ./cmd/fold3dlint ./..."
+# fold3dlint: every check of the suite over the whole module, including
+# apiguard's call-ban table (lint.Config.CallBans) and the IndexedScanOnly
+# rule for internal/place.
+step "go run ./cmd/fold3dlint ./..."
 go run ./cmd/fold3dlint ./...
 
-# Large-netlist smoke: the scaling pass is only honest if the flow still
-# completes a big build in CI time. One table5 run at scale 100 (~72k
-# design cells, all five styles) — ~5s after PR 8, ~8.5s before it.
-echo "==> fold3d -exp table5 -scale 100 smoke"
+# Large-netlist smoke: the flow must still complete a big build in CI time.
+# One table5 run at scale 100 (~72k design cells, all five styles).
+step "fold3d -exp table5 -scale 100 smoke"
 go build -o "$SMOKEDIR/fold3d" ./cmd/fold3d
 "$SMOKEDIR/fold3d" -exp table5 -scale 100 >/dev/null
 
-# Placement-backend smoke: the CLI must drive the analytical backend end
-# to end, run the head-to-head experiment (every backend x all five
-# styles), and fail fast with exit 2 on an unknown backend name.
-echo "==> fold3d -placer analytical / -exp headtohead / unknown-placer smoke"
+# The real binary must drive the analytical backend end to end and run the
+# head-to-head experiment (every backend x all five styles). The CLI's exit
+# codes for bad flags are TestRunExitCodes in cmd/fold3d.
+step "fold3d -placer analytical / -exp headtohead smoke"
 "$SMOKEDIR/fold3d" -exp table4 -placer analytical >/dev/null
 "$SMOKEDIR/fold3d" -exp headtohead >/dev/null
-RC=0
-"$SMOKEDIR/fold3d" -exp table4 -placer simulated-annealing >/dev/null 2>&1 || RC=$?
-[ "$RC" = 2 ] || { echo "check.sh: unknown placer exited $RC, want 2" >&2; exit 1; }
 
-# Thermal smoke: the CLI must run the thermal study with in-loop planning
-# and a temperature budget, reject thermal knobs without -thermal, and
-# reject an impossible budget — both with exit 2 before any work starts.
-echo "==> fold3d -exp thermal -thermal smoke"
+# The real binary must run the thermal study with in-loop planning and a
+# temperature budget, and report the peak-temperature column.
+step "fold3d -exp thermal -thermal smoke"
 "$SMOKEDIR/fold3d" -exp thermal -thermal -tmax 85 | grep -q 'Tmax' || {
 	echo "check.sh: thermal study printed no Tmax column" >&2
 	exit 1
 }
-RC=0
-"$SMOKEDIR/fold3d" -exp thermal -tmax 85 >/dev/null 2>&1 || RC=$?
-[ "$RC" = 2 ] || { echo "check.sh: -tmax without -thermal exited $RC, want 2" >&2; exit 1; }
-RC=0
-"$SMOKEDIR/fold3d" -exp thermal -thermal -tmax 20 >/dev/null 2>&1 || RC=$?
-[ "$RC" = 2 ] || { echo "check.sh: impossible -tmax exited $RC, want 2" >&2; exit 1; }
 
-echo "OK: all checks passed"
+step "done"
+echo "OK: all checks passed in $(($(date +%s) - START)) s"
