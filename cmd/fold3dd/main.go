@@ -1,7 +1,11 @@
 // Command fold3dd serves the fold3d experiment flow over HTTP: clients
 // enqueue experiment runs as jobs, poll or stream their progress, and
 // scrape service metrics. One process owns one artifact cache, so every
-// job — concurrent or sequential — warms the next.
+// job — concurrent or sequential — warms the next. A job that repeats a
+// request an earlier job finished (same request fingerprint; workers and
+// tenant do not count) is answered with that job's result without running
+// again: its stream is queued, running, done with no progress events, and
+// /metrics counts it in fold3dd_jobs_reused_total.
 //
 // Usage:
 //
@@ -64,6 +68,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -84,9 +89,42 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-// newServer wraps h in the daemon's http.Server.
+// newServer wraps h in the daemon's http.Server. At shutdown it also
+// closes every connection still in http.StateNew, which has not completed
+// a request header: Shutdown counts one as active until it is 5 s old, so
+// a client that connected just before SIGTERM (an HTTP client's spare
+// pooled dial, say) held the drain past a shorter -drain. The listener is
+// closed by then, so such a connection carries no request to lose; net/http
+// closes an idle keep-alive connection midway through its next header
+// alike. While serving nothing changes: a slow header meets readHeaderTimeout.
 func newServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	var (
+		mu       sync.Mutex
+		fresh    = map[net.Conn]struct{}{}
+		draining bool
+	)
+	srv.ConnState = func(c net.Conn, state http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case state != http.StateNew:
+			delete(fresh, c)
+		case draining: // accepted just as the listener closed
+			_ = c.Close() // its serve loop sees the error and untracks it
+		default:
+			fresh[c] = struct{}{}
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		draining = true
+		for c := range fresh {
+			_ = c.Close() // as above; Shutdown then finds it gone
+		}
+	})
+	return srv
 }
 
 // main delegates to run so defers fire before the process exits.

@@ -186,3 +186,58 @@ func TestServerClosesSlowHeaders(t *testing.T) {
 		t.Fatalf("server closed after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }
+
+// TestShutdownClosesFreshConnections pins the drain against a client that
+// connected but never sent a request. net/http's Shutdown counts such a
+// connection as active until it is 5 s old, which outlived a shorter -drain
+// and made the daemon exit 1; it must exit 0, well within -drain.
+func TestShutdownClosesFreshConnections(t *testing.T) {
+	const drain = time.Second
+	addrc := make(chan string, 1)
+	exitc := make(chan int, 1)
+	go func() {
+		exitc <- run([]string{"-addr", "127.0.0.1:0", "-drain", drain.String()},
+			func(addr string) { addrc <- addr })
+	}()
+	var addr string
+	select {
+	case addr = <-addrc:
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never bound its listener")
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A request answered on a later connection proves that the server has
+	// accepted the raw one (the accept queue is FIFO) and that the signal
+	// handler is installed.
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	p, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := p.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exitc:
+		waited := time.Since(start)
+		if code != 0 {
+			t.Fatalf("daemon exited %d after %v, want 0", code, waited)
+		}
+		if waited > drain/2 {
+			t.Errorf("shutdown took %v of a %v drain", waited, drain)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not exit on SIGTERM")
+	}
+}

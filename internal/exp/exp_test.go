@@ -7,6 +7,7 @@ import (
 
 	"fold3d/internal/core"
 	"fold3d/internal/extract"
+	"fold3d/internal/pipeline"
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
@@ -195,14 +196,33 @@ func TestAblationTSVCouplingPenalty(t *testing.T) {
 	}
 }
 
+// thermalCache is the artifact cache both thermal-study tests share. Their
+// configs differ only in the melt budget, which no flow stage reads
+// (in-flow thermal planning stays off), so whichever study runs second
+// restores every block the first one built.
+var thermalCache = pipeline.NewCache(pipeline.CacheOptions{})
+
+// thermalStudy runs ThermalStudy on thermalCache. Once the other study has
+// filled the cache, this one must not miss it once.
+func thermalStudy(t *testing.T, cfg Config) *ThermalResult {
+	t.Helper()
+	cfg.Cache = thermalCache
+	before := thermalCache.Stats()
+	r, err := ThermalStudy(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := thermalCache.Stats(); before.Stores > 0 && after.Misses != before.Misses {
+		t.Errorf("second thermal study missed the shared cache %d times", after.Misses-before.Misses)
+	}
+	return r
+}
+
 func TestThermalStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip builds")
 	}
-	r, err := ThermalStudy(context.Background(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := thermalStudy(t, DefaultConfig())
 	byStyle := map[string]ThermalRow{}
 	for _, row := range r.Rows {
 		byStyle[row.Style.String()] = row
@@ -262,10 +282,7 @@ func TestThermalStudyMeltVerdict(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Thermal.TMaxBudgetC = 60 // below the stacks' typical peak: verdict must fire
-	r, err := ThermalStudy(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := thermalStudy(t, cfg)
 	if r.TMaxBudgetC != 60 {
 		t.Fatalf("budget not echoed: %g", r.TMaxBudgetC)
 	}

@@ -21,6 +21,13 @@
 // graceful shutdown (Close cancels the run context, so in-flight and
 // still-queued jobs finish as canceled with an error wrapping
 // errs.ErrCanceled).
+//
+// Result reuse: the determinism contract makes a done job's result the
+// answer to every later job with the same Request.Fingerprint, so the
+// manager keeps the first done result per fingerprint and a worker that
+// picks up a repeat moves it from running straight to done with that
+// result, without running the flow. Failed and canceled jobs are never
+// reused, and a closing manager reuses nothing.
 package jobs
 
 import (
@@ -140,11 +147,13 @@ func (r Request) thermalConfig() flow.ThermalConfig {
 
 // Fingerprint is the routing fingerprint of the request: the pipeline
 // hash of its normalized work definition (experiments, scale, seed,
-// placer). Workers and Tenant are excluded — they affect scheduling,
-// never results — so every request meaning the same work routes to the
-// same fleet node and shares its warm artifacts, while requests
-// differing only in placement backend never collapse onto one ring
-// owner or cache identity.
+// placer, thermal spec). Workers and Tenant are excluded — they affect
+// scheduling, never results — so every request meaning the same work
+// routes to the same fleet node and shares its warm artifacts, while
+// requests differing only in placement backend never collapse onto one
+// ring owner or cache identity. The same key names a finished job's
+// result for reuse: a job whose fingerprint matches an earlier done job
+// is answered with that job's result instead of running again.
 func (r Request) Fingerprint() string {
 	n := r.normalized()
 	h := pipeline.NewHasher()
@@ -238,7 +247,8 @@ type ExperimentResult struct {
 // Result is a completed job's output. Fingerprint is a content hash over
 // every experiment name, report and artifact file in canonical order; the
 // determinism contract promises it is a pure function of the normalized
-// request.
+// request. A Result is read-only once its job is done: reused jobs share
+// the first job's value.
 type Result struct {
 	// Fingerprint is the hex content hash of the full result.
 	Fingerprint string `json:"fingerprint"`
@@ -403,8 +413,8 @@ type Options struct {
 	// rejects Submit with ErrQueueFull. 0 selects 64.
 	QueueDepth int
 	// Cache is the process-wide artifact cache shared by every job, so
-	// concurrent and repeat jobs restore each other's block artifacts. Nil
-	// creates a fresh memory-only cache.
+	// jobs with overlapping work restore each other's block artifacts. Nil
+	// creates a fresh memory-only cache. Managers may share one cache.
 	Cache *pipeline.Cache
 	// NodeID, when non-empty, prefixes every issued job and batch ID
 	// ("<node>-job-000001"), so any fleet node can route a GET for a
@@ -418,7 +428,7 @@ type Options struct {
 }
 
 // Manager owns the job queue: validation, admission, the scheduler
-// workers, job state, and service metrics. Create one per process with
+// workers, job state, the done results repeats reuse, and service metrics. Create one per process with
 // NewManager and stop it with Close.
 type Manager struct {
 	cache  *pipeline.Cache
@@ -428,6 +438,9 @@ type Manager struct {
 	nodeID string
 	depth  int // bound on queued (admitted, not yet started) jobs
 	quota  int // per-tenant bound on queued jobs; 0 = unlimited
+	// runAll runs a job's experiments: exp.RunAll, replaceable before the
+	// first Submit so tests can inject failures.
+	runAll func(context.Context, exp.Config, []string, func(*exp.Result, error)) ([]*exp.Result, error)
 
 	mu   sync.Mutex
 	cond *sync.Cond // signals workers: work queued, or shutdown
@@ -445,10 +458,14 @@ type Manager struct {
 	closed    bool
 	nQueued   int // gauge: submitted, not yet started (Σ len(fifos))
 	nRunning  int // gauge: started, not yet terminal
-	nDone     int
+	nDone     int // includes nReused
+	nReused   int // done jobs answered from results without running
 	nFailed   int
 	nCanceled int
 	hist      map[string]*histogram // per-stage latency
+	// results holds the result of the first done job per request
+	// fingerprint; it points only at results m.jobs already keeps.
+	results map[string]*Result
 }
 
 // NewManager starts a manager with opts.Workers scheduler goroutines
@@ -474,9 +491,11 @@ func NewManager(opts Options) *Manager {
 		nodeID:  opts.NodeID,
 		depth:   depth,
 		quota:   opts.TenantQuota,
+		runAll:  exp.RunAll,
 		fifos:   map[string][]*Job{},
 		jobs:    map[string]*Job{},
 		batches: map[string]*Batch{},
+		results: map[string]*Result{},
 		hist:    map[string]*histogram{},
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -668,13 +687,48 @@ func (m *Manager) next() *Job {
 	}
 }
 
-// runJob drives one job through the exp harness and into a terminal state.
+// runJob drives one job into a terminal state. A repeat of an earlier done
+// job (same request fingerprint, manager not closing) goes from running
+// straight to done with that job's result; every other job runs through
+// the exp harness, and the first done result per fingerprint is kept for
+// the repeats.
 func (m *Manager) runJob(j *Job) {
+	fp := j.req.Fingerprint()
 	m.mu.Lock()
 	m.nRunning++
+	var prior *Result
+	if !m.closed {
+		prior = m.results[fp]
+	}
 	m.mu.Unlock()
 	j.setState(StateRunning, nil, nil)
 
+	state, result, err := StateDone, prior, error(nil)
+	if prior == nil {
+		state, result, err = m.execute(j)
+	}
+	m.mu.Lock()
+	m.nRunning--
+	switch state {
+	case StateDone:
+		m.nDone++
+		if prior != nil {
+			m.nReused++
+		} else if m.results[fp] == nil {
+			m.results[fp] = result
+		}
+	case StateFailed:
+		m.nFailed++
+	case StateCanceled:
+		m.nCanceled++
+	}
+	m.mu.Unlock()
+	j.setState(state, err, result)
+}
+
+// execute runs the job's experiments through the exp harness, streaming
+// flow progress into the job's events, and classifies the outcome.
+func (m *Manager) execute(j *Job) (State, *Result, error) {
 	cfg := j.req.config(m.cache)
 	// last tracks the previous progress timestamp for stage-latency
 	// attribution. exp.RunAll serializes progress callbacks, so the
@@ -693,38 +747,22 @@ func (m *Manager) runJob(j *Job) {
 			Total:      p.Total,
 		})
 	}
-	results, err := exp.RunAll(m.ctx, cfg, j.req.Experiments, nil)
-
-	var state State
-	var result *Result
+	results, err := m.runAll(m.ctx, cfg, j.req.Experiments, nil)
 	switch {
 	case err != nil && errors.Is(err, errs.ErrCanceled):
-		state = StateCanceled
+		return StateCanceled, nil, err
 	case err != nil:
-		state = StateFailed
-	default:
-		state = StateDone
-		result = &Result{Fingerprint: fingerprintResults(results)}
-		for _, r := range results {
-			result.Experiments = append(result.Experiments, ExperimentResult{
-				Name:   r.Name,
-				Report: r.Report,
-				Files:  r.Files,
-			})
-		}
+		return StateFailed, nil, err
 	}
-	m.mu.Lock()
-	m.nRunning--
-	switch state {
-	case StateDone:
-		m.nDone++
-	case StateFailed:
-		m.nFailed++
-	case StateCanceled:
-		m.nCanceled++
+	result := &Result{Fingerprint: fingerprintResults(results)}
+	for _, r := range results {
+		result.Experiments = append(result.Experiments, ExperimentResult{
+			Name:   r.Name,
+			Report: r.Report,
+			Files:  r.Files,
+		})
 	}
-	m.mu.Unlock()
-	j.setState(state, err, result)
+	return StateDone, result, nil
 }
 
 // CacheStats snapshots the shared artifact cache counters.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fold3d/internal/errs"
+	"fold3d/internal/pipeline"
 )
 
 // wait blocks until the job terminates or the test times out.
@@ -190,33 +191,48 @@ func TestStreamEndsWithTerminalEvent(t *testing.T) {
 }
 
 // TestFingerprintDeterministicColdVsWarm is the jobs-level half of the
-// determinism contract: the same request resubmitted to the same manager
-// (now with a warm shared cache) and to a fresh manager (cold) produces
-// the same result fingerprint.
+// determinism contract: the same request run cold (fresh manager and
+// cache), warm (a second manager over the first one's populated cache) and
+// again on the first manager (answered by result reuse) produces the same
+// result fingerprint.
 func TestFingerprintDeterministicColdVsWarm(t *testing.T) {
 	req := Request{Experiments: []string{"table4"}}
+	cache := pipeline.NewCache(pipeline.CacheOptions{})
 
-	m1 := NewManager(Options{})
+	m1 := NewManager(Options{Cache: cache})
 	a := wait(t, mustSubmit(t, m1, req))
-	b := wait(t, mustSubmit(t, m1, req)) // warm: same manager, shared cache
+	b := wait(t, mustSubmit(t, m1, req)) // reuse: same manager, a's result
+	reused := m1.Metrics().Reused
 	closeNow(t, m1)
 
-	m2 := NewManager(Options{})
-	c := wait(t, mustSubmit(t, m2, req)) // cold: fresh manager and cache
+	before := cache.Stats()
+	m2 := NewManager(Options{Cache: cache})
+	c := wait(t, mustSubmit(t, m2, req)) // warm: runs again on the shared cache
 	closeNow(t, m2)
+	warm := cache.Stats()
 
-	if a.State != StateDone || b.State != StateDone || c.State != StateDone {
-		t.Fatalf("states = %s/%s/%s, want done", a.State, b.State, c.State)
+	m3 := NewManager(Options{})
+	d := wait(t, mustSubmit(t, m3, req)) // cold: fresh manager and cache
+	closeNow(t, m3)
+
+	if a.State != StateDone || b.State != StateDone || c.State != StateDone || d.State != StateDone {
+		t.Fatalf("states = %s/%s/%s/%s, want done", a.State, b.State, c.State, d.State)
 	}
 	if a.Result.Fingerprint != b.Result.Fingerprint {
-		t.Errorf("warm fingerprint drifted: %s != %s", b.Result.Fingerprint, a.Result.Fingerprint)
+		t.Errorf("reused fingerprint drifted: %s != %s", b.Result.Fingerprint, a.Result.Fingerprint)
+	}
+	if reused != 1 {
+		t.Errorf("same-manager rerun: reused = %d, want 1", reused)
 	}
 	if a.Result.Fingerprint != c.Result.Fingerprint {
-		t.Errorf("cold fingerprint drifted: %s != %s", c.Result.Fingerprint, a.Result.Fingerprint)
+		t.Errorf("warm fingerprint drifted: %s != %s", c.Result.Fingerprint, a.Result.Fingerprint)
+	}
+	if a.Result.Fingerprint != d.Result.Fingerprint {
+		t.Errorf("cold fingerprint drifted: %s != %s", d.Result.Fingerprint, a.Result.Fingerprint)
 	}
 	// The warm run must actually have reused artifacts.
-	if st := m1.CacheStats(); st.Hits == 0 {
-		t.Errorf("warm rerun hit the cache 0 times: %+v", st)
+	if warm.Hits == before.Hits {
+		t.Errorf("warm rerun hit the cache 0 times: %+v", warm)
 	}
 }
 

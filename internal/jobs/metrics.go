@@ -81,6 +81,9 @@ type Metrics struct {
 	// Done, Failed and Canceled count jobs that reached each terminal
 	// state since the manager started.
 	Done, Failed, Canceled int
+	// Reused counts the done jobs answered with an earlier identical job's
+	// result instead of running (a subset of Done).
+	Reused int
 	// Submitted counts every accepted job (it equals Queued + Running +
 	// the three terminal counters).
 	Submitted int
@@ -100,6 +103,7 @@ func (m *Manager) Metrics() Metrics {
 		Done:      m.nDone,
 		Failed:    m.nFailed,
 		Canceled:  m.nCanceled,
+		Reused:    m.nReused,
 		Submitted: m.seq,
 	}
 	names := make([]string, 0, len(m.hist))

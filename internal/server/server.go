@@ -505,6 +505,10 @@ func writeMetrics(w io.Writer, mt jobs.Metrics) {
 	fmt.Fprintf(&b, "fold3dd_jobs_total{state=\"failed\"} %d\n", mt.Failed)
 	fmt.Fprintf(&b, "fold3dd_jobs_total{state=\"canceled\"} %d\n", mt.Canceled)
 
+	b.WriteString("# HELP fold3dd_jobs_reused_total Done jobs answered with an earlier identical job's result, without running.\n")
+	b.WriteString("# TYPE fold3dd_jobs_reused_total counter\n")
+	fmt.Fprintf(&b, "fold3dd_jobs_reused_total %d\n", mt.Reused)
+
 	b.WriteString("# HELP fold3dd_jobs_submitted_total Jobs accepted by Submit.\n")
 	b.WriteString("# TYPE fold3dd_jobs_submitted_total counter\n")
 	fmt.Fprintf(&b, "fold3dd_jobs_submitted_total %d\n", mt.Submitted)

@@ -126,36 +126,40 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
+// clientErrorCases are the requests TestClientErrors sends, each with the
+// status and envelope code it must get. FuzzJobRequest seeds its corpus
+// from their bodies.
+var clientErrorCases = []struct {
+	name   string
+	method string
+	path   string
+	body   string
+	want   int
+	code   string
+}{
+	{"malformed json", "POST", "/v1/jobs", `{"experiments":`, http.StatusBadRequest, "bad_request"},
+	{"unknown field", "POST", "/v1/jobs", `{"experiment":"table1"}`, http.StatusBadRequest, "bad_request"},
+	{"unknown experiment", "POST", "/v1/jobs", `{"experiments":["bogus"]}`, http.StatusBadRequest, "bad_request"},
+	{"bad scale", "POST", "/v1/jobs", `{"scale":0.5}`, http.StatusBadRequest, "bad_request"},
+	{"negative workers", "POST", "/v1/jobs", `{"workers":-1}`, http.StatusBadRequest, "bad_request"},
+	{"unknown placer", "POST", "/v1/jobs", `{"experiments":["table1"],"placer":"simulated-annealing"}`, http.StatusBadRequest, "bad_request"},
+	{"bad batch placer", "POST", "/v1/batches", `{"jobs":[{"experiments":["table1"],"placer":"bogus"}]}`, http.StatusBadRequest, "bad_request"},
+	{"unknown job", "GET", "/v1/jobs/job-999999", "", http.StatusNotFound, "not_found"},
+	{"unknown job events", "GET", "/v1/jobs/job-999999/events", "", http.StatusNotFound, "not_found"},
+	{"empty batch", "POST", "/v1/batches", `{"jobs":[]}`, http.StatusBadRequest, "bad_request"},
+	{"bad batch member", "POST", "/v1/batches", `{"jobs":[{"experiments":["bogus"]}]}`, http.StatusBadRequest, "bad_request"},
+	{"unknown batch", "GET", "/v1/batches/batch-999999", "", http.StatusNotFound, "not_found"},
+	{"unknown batch events", "GET", "/v1/batches/batch-999999/events", "", http.StatusNotFound, "not_found"},
+	{"unknown artifact", "GET", "/v1/artifacts/deadbeef", "", http.StatusNotFound, "not_found"},
+}
+
 // TestClientErrors is the table-driven test of the unified error envelope:
 // every /v1 error is {"error":{"code","message"}} with the status and code
 // drawn from the single sentinel-mapping table.
 func TestClientErrors(t *testing.T) {
 	ts, _ := newTestServer(t, jobs.Options{})
 
-	cases := []struct {
-		name   string
-		method string
-		path   string
-		body   string
-		want   int
-		code   string
-	}{
-		{"malformed json", "POST", "/v1/jobs", `{"experiments":`, http.StatusBadRequest, "bad_request"},
-		{"unknown field", "POST", "/v1/jobs", `{"experiment":"table1"}`, http.StatusBadRequest, "bad_request"},
-		{"unknown experiment", "POST", "/v1/jobs", `{"experiments":["bogus"]}`, http.StatusBadRequest, "bad_request"},
-		{"bad scale", "POST", "/v1/jobs", `{"scale":0.5}`, http.StatusBadRequest, "bad_request"},
-		{"negative workers", "POST", "/v1/jobs", `{"workers":-1}`, http.StatusBadRequest, "bad_request"},
-		{"unknown placer", "POST", "/v1/jobs", `{"experiments":["table1"],"placer":"simulated-annealing"}`, http.StatusBadRequest, "bad_request"},
-		{"bad batch placer", "POST", "/v1/batches", `{"jobs":[{"experiments":["table1"],"placer":"bogus"}]}`, http.StatusBadRequest, "bad_request"},
-		{"unknown job", "GET", "/v1/jobs/job-999999", "", http.StatusNotFound, "not_found"},
-		{"unknown job events", "GET", "/v1/jobs/job-999999/events", "", http.StatusNotFound, "not_found"},
-		{"empty batch", "POST", "/v1/batches", `{"jobs":[]}`, http.StatusBadRequest, "bad_request"},
-		{"bad batch member", "POST", "/v1/batches", `{"jobs":[{"experiments":["bogus"]}]}`, http.StatusBadRequest, "bad_request"},
-		{"unknown batch", "GET", "/v1/batches/batch-999999", "", http.StatusNotFound, "not_found"},
-		{"unknown batch events", "GET", "/v1/batches/batch-999999/events", "", http.StatusNotFound, "not_found"},
-		{"unknown artifact", "GET", "/v1/artifacts/deadbeef", "", http.StatusNotFound, "not_found"},
-	}
-	for _, c := range cases {
+	for _, c := range clientErrorCases {
 		t.Run(c.name, func(t *testing.T) {
 			req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
 			if err != nil {
@@ -314,8 +318,9 @@ func TestEventStreamNDJSON(t *testing.T) {
 
 // TestDeterministicFingerprints is the acceptance gate: the same request
 // body must yield byte-identical result fingerprints whether it runs cold
-// (fresh manager), warm (rerun against the shared cache), or as four
-// simultaneous jobs racing each other.
+// (fresh manager), as four simultaneous jobs racing each other, warm (a
+// second manager rerunning it against the first one's populated cache), or
+// as a repeat the first manager answers by result reuse.
 func TestDeterministicFingerprints(t *testing.T) {
 	const body = `{"experiments":["table4"]}`
 
@@ -329,7 +334,8 @@ func TestDeterministicFingerprints(t *testing.T) {
 		return info.Result.Fingerprint
 	}()
 
-	ts, mgr := newTestServer(t, jobs.Options{Workers: 4})
+	cache := pipeline.NewCache(pipeline.CacheOptions{})
+	ts, mgr := newTestServer(t, jobs.Options{Workers: 4, Cache: cache})
 
 	// Four simultaneous jobs against one shared cache.
 	var wg sync.WaitGroup
@@ -352,13 +358,26 @@ func TestDeterministicFingerprints(t *testing.T) {
 		}
 	}
 
-	// Warm rerun on the now-populated cache.
-	info := pollDone(t, ts, postJob(t, ts, body).ID)
+	// Warm rerun on a second manager over the now-populated cache (the
+	// first manager would answer it from its done result).
+	warm, _ := newTestServer(t, jobs.Options{Cache: cache})
+	before := cache.Stats()
+	info := pollDone(t, warm, postJob(t, warm, body).ID)
 	if info.Result.Fingerprint != ref {
 		t.Errorf("warm fingerprint %s != cold %s", info.Result.Fingerprint, ref)
 	}
-	if st := mgr.CacheStats(); st.Hits == 0 {
-		t.Errorf("shared cache saw no hits across 5 identical jobs: %+v", st)
+	if st := cache.Stats(); st.Hits == before.Hits {
+		t.Errorf("warm rerun saw no cache hits: %+v", st)
+	}
+
+	// A repeat on the first manager is answered by reuse.
+	reused := mgr.Metrics().Reused
+	info = pollDone(t, ts, postJob(t, ts, body).ID)
+	if info.Result.Fingerprint != ref {
+		t.Errorf("reused fingerprint %s != cold %s", info.Result.Fingerprint, ref)
+	}
+	if got := mgr.Metrics().Reused; got != reused+1 {
+		t.Errorf("repeat on the first manager: reused %d -> %d, want one more", reused, got)
 	}
 }
 
@@ -548,6 +567,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		`fold3dd_jobs_total{state="done"} 1`,
 		`fold3dd_jobs_submitted_total 1`,
+		"fold3dd_jobs_reused_total 0",
 		"fold3dd_cache_hit_ratio ",
 		"fold3dd_cache_stores_total ",
 		`fold3dd_stage_latency_seconds_bucket{stage=`,
@@ -595,7 +615,8 @@ func BenchmarkServerJobsCold(b *testing.B) {
 }
 
 // BenchmarkServerJobsShared measures jobs/sec against one long-lived
-// manager whose artifact cache is warm after the first iteration.
+// manager: after the first iteration every job repeats a done request, so
+// it measures the HTTP round trip and result reuse.
 func BenchmarkServerJobsShared(b *testing.B) {
 	mgr := jobs.NewManager(jobs.Options{Workers: 2})
 	ts := httptest.NewServer(New(mgr))

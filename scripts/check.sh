@@ -69,13 +69,17 @@ step "go test -race -cpu=4 -count=2 (goroutine-interleaving packages)"
 go test -race -cpu=4 -count=2 ./internal/pool/ ./internal/jobs/ ./internal/server/ \
 	./cmd/fold3dd/ ./internal/cluster/ ./pkg/fold3d/
 
-# Every decoder that bytes from disk or a peer can reach gets a bounded
-# fuzzing pass beyond its seed corpus: the wire entry framing and the block
-# and fold payloads must fail cleanly on any input, never panic.
-step "go test -fuzz (cache entry, block and fold codecs, 10s each)"
-go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 10s ./internal/pipeline/
-go test -run '^$' -fuzz '^FuzzBlockCodec$' -fuzztime 10s ./internal/flow/
-go test -run '^$' -fuzz '^FuzzFoldCodec$' -fuzztime 10s ./internal/flow/
+# Every decoder that bytes from disk, a peer or a client can reach gets a
+# bounded fuzzing pass beyond its seed corpus: the wire entry framing, the
+# block and fold payloads and the /v1/jobs request path must fail cleanly
+# on any input, never panic. -fuzzminimizetime 0 keeps each pass exploring
+# for its whole budget instead of shrinking its first new input; a crasher
+# is still reported and saved, just not minimized.
+step "go test -fuzz (cache entry, block and fold codecs, job request; 10s each)"
+go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 10s -fuzzminimizetime 0 ./internal/pipeline/
+go test -run '^$' -fuzz '^FuzzBlockCodec$' -fuzztime 10s -fuzzminimizetime 0 ./internal/flow/
+go test -run '^$' -fuzz '^FuzzFoldCodec$' -fuzztime 10s -fuzzminimizetime 0 ./internal/flow/
+go test -run '^$' -fuzz '^FuzzJobRequest$' -fuzztime 10s -fuzzminimizetime 0 ./internal/server/
 
 # Fleet smoke test, the only test of the real binary's -peers wiring: boot
 # two daemons as each other's peers, find a seed whose {table4} and
