@@ -89,16 +89,18 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-// newServer wraps h in the daemon's http.Server. At shutdown it also
-// closes every connection still in http.StateNew, which has not completed
-// a request header: Shutdown counts one as active until it is 5 s old, so
-// a client that connected just before SIGTERM (an HTTP client's spare
-// pooled dial, say) held the drain past a shorter -drain. The listener is
-// closed by then, so such a connection carries no request to lose; net/http
-// closes an idle keep-alive connection midway through its next header
-// alike. While serving nothing changes: a slow header meets readHeaderTimeout.
-func newServer(h http.Handler) *http.Server {
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+// newServer wraps h in the daemon's http.Server, which closes a connection
+// whose request header takes longer than headerTimeout (run passes
+// readHeaderTimeout). At shutdown it also closes every connection still in
+// http.StateNew, which has not completed a request header: Shutdown counts
+// one as active until it is 5 s old, so a client that connected just
+// before SIGTERM (an HTTP client's spare pooled dial, say) held the drain
+// past a shorter -drain. The listener is closed by then, so such a
+// connection carries no request to lose; net/http closes an idle
+// keep-alive connection midway through its next header alike. While
+// serving nothing changes: a slow header meets headerTimeout.
+func newServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 	var (
 		mu       sync.Mutex
 		fresh    = map[net.Conn]struct{}{}
@@ -199,7 +201,7 @@ func run(args []string, ready func(addr string)) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := newServer(server.NewWithOptions(server.Options{Manager: mgr, Router: router, Pprof: *pprofOn}))
+	srv := newServer(server.NewWithOptions(server.Options{Manager: mgr, Router: router, Pprof: *pprofOn}), readHeaderTimeout)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }() // sanctioned: the accept loop of the server exemption
 

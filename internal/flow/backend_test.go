@@ -55,18 +55,19 @@ func TestBackendsProduceDistinctPlacements(t *testing.T) {
 	}
 }
 
-// TestForceCacheKeyIdentity pins the cache-key discipline's backward half:
-// a config that never mentions a placer (the legacy shape every pre-PR
-// cache entry was stored under) and one that names the default backend
-// explicitly must share every stage key — the explicit run restores
-// entirely from the legacy run's entries, storing nothing new.
+// TestForceCacheKeyIdentity pins that the place-stage key names the
+// resolved backend, not the spelling of the config: a config that leaves
+// Placer empty (WithDefaults resolves it to place.DefaultBackend) and one
+// that names the default backend must share every stage key — the
+// explicit run restores entirely from the first run's entries, storing
+// nothing new.
 func TestForceCacheKeyIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip builds")
 	}
 	t.Parallel()
 	cache := pipeline.NewCache(pipeline.CacheOptions{})
-	legacy := chipFingerprintCfg(t, t2.StyleCoreCache, 42, 1, func(c *Config) {
+	omitted := chipFingerprintCfg(t, t2.StyleCoreCache, 42, 1, func(c *Config) {
 		c.Cache = cache
 		c.Placer = "" // WithDefaults fills in place.DefaultBackend
 	})
@@ -76,19 +77,19 @@ func TestForceCacheKeyIdentity(t *testing.T) {
 		c.Cache = cache
 		c.Placer = place.DefaultBackend
 	})
-	if legacy != explicit {
-		t.Fatalf("explicit force diverged from legacy config:\n%s", firstDiff(legacy, explicit))
+	if omitted != explicit {
+		t.Fatalf("explicit force diverged from the omitted placer:\n%s", firstDiff(omitted, explicit))
 	}
 	st := cache.Stats()
 	if st.Stores != stores {
-		t.Errorf("explicit force stored %d new entries; its keys must equal the legacy keys", st.Stores-stores)
+		t.Errorf("explicit force stored %d new entries; its keys must equal the omitted placer's keys", st.Stores-stores)
 	}
 	if st.Hits == 0 {
-		t.Error("explicit force never hit the legacy-keyed cache")
+		t.Error("explicit force never hit the cache the omitted placer filled")
 	}
 }
 
-// TestCrossBackendCacheIsolation pins the discipline's forward half: a
+// TestCrossBackendCacheIsolation pins the other half of the discipline: a
 // cache warmed by one backend must contribute nothing to the other — not
 // one memory hit, not one disk hit — because a restored placement from the
 // wrong backend would silently corrupt the determinism contract.

@@ -63,6 +63,10 @@ func (e *enc) int(v int)     { e.u64(uint64(int64(v))) }
 func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 func (e *enc) count(n int)   { e.u32(uint32(n)) }
 
+// str writes s after its u32 length (the block hash's layout; the codec
+// itself writes strings as table indices).
+func (e *enc) str(s string) { e.count(len(s)); e.b = append(e.b, s...) }
+
 func (e *enc) flag(v bool) {
 	if v {
 		e.u8(1)

@@ -80,15 +80,11 @@ func (st *implState) blockPlan() *pipeline.Plan {
 			// place.Options is a flat value struct (no maps), so %#v is a
 			// deterministic rendering of every field including Seed.
 			h.Str(fmt.Sprintf("%#v", f.placeOptions()))
-			// Cache-key discipline across backends: the default force
-			// backend keeps the exact pre-registry key bytes, so artifacts
-			// cached before the backend axis existed stay valid; every
-			// other backend appends its registry name, so no two backends
-			// can ever alias each other's place-stage artifacts — in this
-			// process, on disk, or across fleet peers.
-			if f.Cfg.Placer != place.DefaultBackend {
-				h.Str("placer=" + f.Cfg.Placer)
-			}
+			// Every backend appends its registry name (WithDefaults has
+			// already resolved an empty name to place.DefaultBackend), so
+			// no two backends can ever alias each other's place-stage
+			// artifacts — in this process, on disk, or across fleet peers.
+			h.Str("placer=" + f.Cfg.Placer)
 		},
 		Run: st.stagePlace,
 	})
@@ -364,100 +360,110 @@ func (st *implState) stageFinal(ctx context.Context) error {
 	return nil
 }
 
+// hashChunk is the size at which hashBlock hands its encoded key material
+// to the hasher: a block's bytes stream into SHA-256 a chunk at a time
+// instead of being held whole.
+const hashChunk = 4 << 10
+
 // hashBlock mixes the complete pre-implementation state of b into h: the
 // netlist (cells by master identity, macros, nets with connectivity and
 // activity), the I/O ports with their chip-assigned positions and timing
 // budgets, the outline, and the fold state. This is the honest input
 // fingerprint of a block implementation: two blocks hash equal exactly when
-// the flow would be handed indistinguishable work. Floats are mixed by bit
-// pattern, never formatted.
+// the flow would be handed indistinguishable work.
+//
+// The fields are written with the block codec's enc helper in a compact,
+// prefix-free layout: every value at the fixed width of its Go type,
+// little-endian (floats by bit pattern, never formatted; a bool as one
+// byte), every string after its u32 length and every list after its u32
+// count. The layout decodes back to the fields, so two blocks that differ
+// in a hashed field never share a key. The encoding reaches the hasher
+// through Hasher.Bytes each time it passes hashChunk at a record boundary;
+// those boundaries follow from the content alone. TestHashBlockCoverage
+// fails on any netlist field this function neither hashes nor excludes
+// with a reason.
 func hashBlock(h *pipeline.Hasher, b *netlist.Block) {
-	h.Str(b.Name)
-	h.Int(int(b.Clock))
-	h.Int(len(b.Cells))
+	e := enc{b: make([]byte, 0, 2*hashChunk)}
+	next := func() {
+		if len(e.b) >= hashChunk {
+			h.Bytes(e.b)
+			e.b = e.b[:0]
+		}
+	}
+	e.str(b.Name)
+	e.int(int(b.Clock))
+	e.count(len(b.Cells))
 	for i := range b.Cells {
 		c := &b.Cells[i]
-		h.Str(c.Name)
-		h.Int(int(c.Master.Fam))
-		h.Int(c.Master.Drive)
-		h.Int(int(c.Master.Vth))
-		h.F64(c.Pos.X)
-		h.F64(c.Pos.Y)
-		h.Int(int(c.Die))
-		h.Bool(c.Fixed)
-		h.Str(c.Group)
-		h.Bool(c.IsClockBuf)
-		h.F64(c.Activity)
+		e.str(c.Name)
+		e.int(int(c.Master.Fam))
+		e.int(c.Master.Drive)
+		e.int(int(c.Master.Vth))
+		e.point(c.Pos)
+		e.int(int(c.Die))
+		e.flag(c.Fixed)
+		e.str(c.Group)
+		e.flag(c.IsClockBuf)
+		e.f64(c.Activity)
+		next()
 	}
-	h.Int(len(b.Macros))
+	e.count(len(b.Macros))
 	for i := range b.Macros {
 		m := &b.Macros[i]
-		h.Str(m.Name)
-		h.Str(m.Model.Name)
-		h.F64(m.Model.Width)
-		h.F64(m.Model.Height)
-		h.Int(m.Model.Bits)
-		h.F64(m.Pos.X)
-		h.F64(m.Pos.Y)
-		h.Int(int(m.Die))
-		h.Bool(m.Fixed)
-		h.Str(m.Group)
-		h.F64(m.Activity)
+		e.str(m.Name)
+		e.str(m.Model.Name)
+		e.f64(m.Model.Width)
+		e.f64(m.Model.Height)
+		e.int(m.Model.Bits)
+		e.point(m.Pos)
+		e.int(int(m.Die))
+		e.flag(m.Fixed)
+		e.str(m.Group)
+		e.f64(m.Activity)
+		next()
 	}
-	h.Int(len(b.Ports))
+	e.count(len(b.Ports))
 	for i := range b.Ports {
 		p := &b.Ports[i]
-		h.Str(p.Name)
-		h.Int(int(p.Dir))
-		h.F64(p.Pos.X)
-		h.F64(p.Pos.Y)
-		h.Int(int(p.Die))
-		h.F64(p.CapfF)
-		h.F64(p.Budget)
+		e.str(p.Name)
+		e.u8(uint8(p.Dir))
+		e.point(p.Pos)
+		e.int(int(p.Die))
+		e.f64(p.CapfF)
+		e.f64(p.Budget)
+		next()
 	}
-	h.Int(len(b.Nets))
+	e.count(len(b.Nets))
 	for i := range b.Nets {
 		n := &b.Nets[i]
-		h.Str(n.Name)
-		h.Int(int(n.Kind))
-		hashPin(h, n.Driver)
-		h.Int(len(n.Sinks))
+		e.str(n.Name)
+		e.u8(uint8(n.Kind))
+		e.pin(n.Driver)
+		e.count(len(n.Sinks))
 		for _, s := range n.Sinks {
-			hashPin(h, s)
+			e.pin(s)
 		}
-		h.F64(n.Activity)
-		h.F64(n.RouteLen)
-		h.Int(n.Layer)
-		h.Int(n.Crossings)
-		h.Int(len(n.Vias))
+		e.f64(n.Activity)
+		e.f64(n.RouteLen)
+		e.int(n.Layer)
+		e.int(n.Crossings)
+		e.count(len(n.Vias))
 		for _, v := range n.Vias {
-			h.F64(v.X)
-			h.F64(v.Y)
+			e.point(v)
 		}
-		h.F64(n.WireCapfF)
-		h.F64(n.WireResOhm)
+		e.f64(n.WireCapfF)
+		e.f64(n.WireResOhm)
+		next()
 	}
-	for d := 0; d < 2; d++ {
-		h.F64(b.Outline[d].Lo.X)
-		h.F64(b.Outline[d].Lo.Y)
-		h.F64(b.Outline[d].Hi.X)
-		h.F64(b.Outline[d].Hi.Y)
-	}
-	h.Bool(b.Is3D)
-	h.Int(b.NumTSV)
-	h.Int(b.NumF2F)
-	h.Int(len(b.TSVPads))
+	e.rect(b.Outline[0])
+	e.rect(b.Outline[1])
+	e.flag(b.Is3D)
+	e.int(b.NumTSV)
+	e.int(b.NumF2F)
+	e.count(len(b.TSVPads))
 	for _, r := range b.TSVPads {
-		h.F64(r.Lo.X)
-		h.F64(r.Lo.Y)
-		h.F64(r.Hi.X)
-		h.F64(r.Hi.Y)
+		e.rect(r)
 	}
-	h.Int(b.MaxRouteLayer)
-}
-
-func hashPin(h *pipeline.Hasher, r netlist.PinRef) {
-	h.Int(int(r.Kind))
-	h.Int(int(r.Idx))
-	h.Int(int(r.Pin))
+	e.int(b.MaxRouteLayer)
+	h.Bytes(e.b)
 }

@@ -25,9 +25,14 @@ type Fingerprint string
 
 // Hasher accumulates typed key material into a content hash. All writes are
 // length-framed by type tag so that e.g. Str("ab"), Str("c") and Str("a"),
-// Str("bc") hash differently. Key material streams straight into a running
-// SHA-256 state — nothing is buffered, so hashing a whole netlist costs no
-// allocation beyond the hasher itself.
+// Str("bc") hash differently. Key material streams into a running SHA-256
+// state through a fixed batch buffer, so hashing costs no allocation beyond
+// the hasher itself.
+//
+// The byte stream of every method is pinned (TestHasherStreamPinned):
+// result and routing fingerprints are built from these methods and are
+// published, so a new kind of key material gets a new method, never a
+// change to an existing frame.
 type Hasher struct {
 	h hash.Hash
 	// buf batches the many small framed fields into fewer digest writes;
@@ -48,28 +53,36 @@ func (h *Hasher) flush() {
 	}
 }
 
-func (h *Hasher) write(tag byte, payload []byte) {
-	need := 9 + len(payload)
-	if h.n+need > len(h.buf) {
+// frame writes one tag + u64 length + payload frame. The payload is copied
+// through the batch buffer in pieces, so a string needs no []byte copy and
+// a payload longer than the buffer streams into the digest; the byte
+// stream is the same whatever the piece boundaries.
+func frame[T string | []byte](h *Hasher, tag byte, payload T) {
+	if h.n+9 > len(h.buf) {
 		h.flush()
-		if need > len(h.buf) {
-			var hdr [9]byte
-			hdr[0] = tag
-			binary.LittleEndian.PutUint64(hdr[1:], uint64(len(payload)))
-			_, _ = h.h.Write(hdr[:])
-			_, _ = h.h.Write(payload)
-			return
-		}
 	}
 	b := h.buf[h.n:]
 	b[0] = tag
 	binary.LittleEndian.PutUint64(b[1:9], uint64(len(payload)))
-	copy(b[9:], payload)
-	h.n += need
+	h.n += 9
+	for len(payload) > 0 {
+		if h.n == len(h.buf) {
+			h.flush()
+		}
+		k := copy(h.buf[h.n:], payload)
+		h.n += k
+		payload = payload[k:]
+	}
 }
 
 // Str mixes a string into the hash.
-func (h *Hasher) Str(s string) { h.write('s', []byte(s)) }
+func (h *Hasher) Str(s string) { frame(h, 's', s) }
+
+// Bytes mixes a byte slice into the hash as one frame. Callers that encode
+// bulk key material themselves (hashBlock) stream it through Bytes in
+// bounded chunks; the frame's length makes the chunk boundaries part of
+// the key material, so a chunking is only stable if it is deterministic.
+func (h *Hasher) Bytes(p []byte) { frame(h, 'x', p) }
 
 // Int mixes a signed integer into the hash.
 func (h *Hasher) Int(v int) { h.Uint(uint64(int64(v))) }

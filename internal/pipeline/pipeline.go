@@ -48,7 +48,7 @@ import (
 // layout, or the hashing recipe changes, so stale cache entries (in memory
 // across library updates cannot happen, but on disk they can) miss instead
 // of resurfacing results of older code.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Stage is one registered pass of a plan.
 type Stage struct {

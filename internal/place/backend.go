@@ -34,9 +34,9 @@ type Backend interface {
 }
 
 // DefaultBackend names the force-directed backend — the paper's own placer
-// and the default wherever a placer name is absent. Its artifact cache keys
-// deliberately carry no backend material, so pre-registry fingerprints stay
-// valid (see the flow's place stage key).
+// and the default wherever a placer name is absent. The flow's place-stage
+// cache key names the resolved backend, this one included, so no two
+// backends share an artifact.
 const DefaultBackend = "force"
 
 // backendEntry pairs a registered name with its factory. The registry is an

@@ -3,6 +3,7 @@ package t2
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"fold3d/internal/errs"
 	"fold3d/internal/floorplan"
@@ -241,11 +242,17 @@ func (d *Design) generateBlock(spec BlockSpec, need map[string]int, r *rng.R) (*
 	b.GrowCells(n + 8)
 	b.GrowNets(n + 8)
 	levels := make([]int16, 0, n)
-	type glKey struct {
-		g int
-		l int16
+	// byGL holds the candidate drivers per (group, level), flat: levels run
+	// 0..depth, so group gi's lists start at gi*stride. cands reads it and
+	// returns nil for a level outside that range.
+	stride := depth + 1
+	byGL := make([][]int32, len(groups)*stride)
+	cands := func(gi int, l int16) []int32 {
+		if l < 0 || int(l) >= stride {
+			return nil
+		}
+		return byGL[gi*stride+int(l)]
 	}
-	byGL := make(map[glKey][]int32) // candidate drivers per (group, level)
 	groupOf := make([]int, 0, n)
 	created := 0
 	for gi, g := range groups {
@@ -256,6 +263,7 @@ func (d *Design) generateBlock(spec BlockSpec, need map[string]int, r *rng.R) (*
 		if gn < 4 {
 			gn = 4
 		}
+		prefix := spec.Name + "_" + g.Name + "_c"
 		for k := 0; k < gn; k++ {
 			fam := pickFamily(r)
 			master := d.Lib.MustCell(fam, pickDrive(r), tech.RVT)
@@ -267,14 +275,14 @@ func (d *Design) generateBlock(spec BlockSpec, need map[string]int, r *rng.R) (*
 			}
 			act := clampAct(r.Norm(spec.Activity, 0.06))
 			idx := b.AddCell(netlist.Instance{
-				Name:     fmt.Sprintf("%s_%s_c%d", spec.Name, g.Name, k),
+				Name:     numbered(prefix, k),
 				Master:   master,
 				Group:    g.Name,
 				Activity: act,
 			})
 			levels = append(levels, lvl)
 			groupOf = append(groupOf, gi)
-			byGL[glKey{gi, lvl}] = append(byGL[glKey{gi, lvl}], idx)
+			byGL[gi*stride+int(lvl)] = append(byGL[gi*stride+int(lvl)], idx)
 		}
 		created += gn
 	}
@@ -294,7 +302,7 @@ func (d *Design) generateBlock(spec BlockSpec, need map[string]int, r *rng.R) (*
 	for k := 0; k < spec.Macros; k++ {
 		gi := macroGroups[k%len(macroGroups)]
 		b.AddMacro(netlist.MacroInst{
-			Name:     fmt.Sprintf("%s_m%d", spec.Name, k),
+			Name:     numbered(spec.Name+"_m", k),
 			Model:    macroModel,
 			Group:    groups[gi].Name,
 			Activity: 0.5,
@@ -302,19 +310,31 @@ func (d *Design) generateBlock(spec BlockSpec, need map[string]int, r *rng.R) (*
 		})
 	}
 
-	// Wiring. Nets are created lazily per driver.
-	netOf := make(map[netlist.PinRef]int32)
+	// Wiring. Nets are created lazily per driver. A cell drives through
+	// its one output, so its net is found by cell index (cellNet holds the
+	// net index plus one; 0 means none yet); macro outputs keep a map.
+	cellNet := make([]int32, len(b.Cells))
+	macroNet := make(map[netlist.PinRef]int32)
+	netPrefix := spec.Name + "_n"
 	getNet := func(drv netlist.PinRef) *netlist.Net {
-		if ni, ok := netOf[drv]; ok {
+		if drv.Kind == netlist.KindCell {
+			if ni := cellNet[drv.Idx]; ni > 0 {
+				return &b.Nets[ni-1]
+			}
+		} else if ni, ok := macroNet[drv]; ok {
 			return &b.Nets[ni]
 		}
 		ni := b.AddNet(netlist.Net{
-			Name:     fmt.Sprintf("%s_n%d", spec.Name, len(b.Nets)),
+			Name:     numbered(netPrefix, len(b.Nets)),
 			Kind:     netlist.Signal,
 			Driver:   drv,
 			Activity: clampAct(r.Norm(spec.Activity, 0.06)),
 		})
-		netOf[drv] = ni
+		if drv.Kind == netlist.KindCell {
+			cellNet[drv.Idx] = ni + 1
+		} else {
+			macroNet[drv] = ni
+		}
 		return &b.Nets[ni]
 	}
 	// pickDriver selects a DAG-safe driver for a sink at (group gi, level
@@ -328,7 +348,7 @@ func (d *Design) generateBlock(spec BlockSpec, need map[string]int, r *rng.R) (*
 			} else {
 				dl = int16(r.Intn(int(lvl)))
 			}
-			cand := byGL[glKey{gi, dl}]
+			cand := cands(gi, dl)
 			if len(cand) == 0 {
 				continue
 			}
@@ -406,7 +426,7 @@ func (d *Design) generateBlock(spec BlockSpec, need map[string]int, r *rng.R) (*
 	if spec.CrossNets > 0 && len(groups) >= 2 {
 		for k := 0; k < spec.CrossNets; k++ {
 			drv, ok1 := pickDriver(0, int16(depth))
-			cand := byGL[glKey{1, int16(1 + r.Intn(depth))}]
+			cand := cands(1, int16(1+r.Intn(depth)))
 			if !ok1 || len(cand) == 0 {
 				continue
 			}
@@ -439,7 +459,7 @@ func (d *Design) generateBlock(spec BlockSpec, need map[string]int, r *rng.R) (*
 				if lo >= depth {
 					lo = depth - 1
 				}
-				cand := byGL[glKey{gi, int16(lo + r.Intn(3))}]
+				cand := cands(gi, int16(lo+r.Intn(3)))
 				if len(cand) == 0 {
 					continue
 				}
@@ -447,7 +467,7 @@ func (d *Design) generateBlock(spec BlockSpec, need map[string]int, r *rng.R) (*
 			}
 			if len(net.Sinks) == 0 {
 				// Guarantee a sink so validation holds.
-				if c := byGL[glKey{gi, 1}]; len(c) > 0 {
+				if c := cands(gi, 1); len(c) > 0 {
 					net.Sinks = append(net.Sinks, netlist.PinRef{Kind: netlist.KindCell, Idx: c[0], Pin: 0})
 				}
 			}
@@ -470,6 +490,13 @@ func (d *Design) generateBlock(spec BlockSpec, need map[string]int, r *rng.R) (*
 		return nil, nil, nil, err
 	}
 	return b, free, levels, nil
+}
+
+// numbered returns prefix followed by k in decimal, the name fmt's "%s%d"
+// would make, in one allocation.
+func numbered(prefix string, k int) string {
+	var buf [64]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(k), 10))
 }
 
 func clampAct(a float64) float64 {

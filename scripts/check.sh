@@ -69,6 +69,11 @@ step "go test -race -cpu=4 -count=2 (goroutine-interleaving packages)"
 go test -race -cpu=4 -count=2 ./internal/pool/ ./internal/jobs/ ./internal/server/ \
 	./cmd/fold3dd/ ./internal/cluster/ ./pkg/fold3d/
 
+# The generator and block-hash microbenchmarks run once each, so they keep
+# compiling and running; their timings are quoted from longer runs.
+step "go test -bench (BenchmarkGenerate, BenchmarkHashBlock; one iteration each)"
+go test -run '^$' -bench '^(BenchmarkGenerate|BenchmarkHashBlock)$' -benchtime 1x ./internal/t2/ ./internal/flow/
+
 # Every decoder that bytes from disk, a peer or a client can reach gets a
 # bounded fuzzing pass beyond its seed corpus: the wire entry framing, the
 # block and fold payloads and the /v1/jobs request path must fail cleanly
